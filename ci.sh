@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus lints, as a single gate:
-#   1. release build of the whole workspace
+#   1. release build of the whole workspace and of the benchmark probe
 #   2. full test suite
 #   3. cross-engine conformance, quick tier (sub-second; pass
 #      CONFORM_FULL=1 to sweep the full thread lattice instead)
@@ -41,6 +41,11 @@ cd "$(dirname "$0")"
 
 echo "== cargo build --release =="
 cargo build --release --workspace
+# The benchmark probe is a Cargo workspace of its own, so the build
+# above never compiles it; an API change that breaks it must fail here,
+# not first when the benchmark runs.
+cargo build --release --offline --manifest-path perfbench/probe/Cargo.toml \
+    --target-dir target/perfbench-probe
 
 echo "== cargo test (tier-1 gate) =="
 # The enforced tier-1 gate: the whole workspace test suite must be
@@ -239,7 +244,7 @@ fi
 
 echo "== perf tier (hardware observability + bench ledger) =="
 PERF_TMP="$(mktemp -d)"
-trap 'rm -rf "$TELEMETRY_TMP" "$RECOVER_TMP" "$PERF_TMP"' EXIT
+trap 'rm -rf "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP" "$PERF_TMP"' EXIT
 # bench-diff's exit-code contract is machine-independent: check it with
 # hand-written ledgers.  Same numbers -> 0; a 3x slowdown -> 1; a
 # missing baseline file -> 2.
@@ -273,6 +278,12 @@ fi
 cargo run --release -q -p fm-cli -- walk "$TELEMETRY_TMP/g.bin" \
     --steps 8 --walkers 1024 --hw-counters >/dev/null
 cargo run --release -q -p fm-cli -- cachecheck --quick > "$PERF_TMP/cachecheck.txt"
+# Disk graphs share the in-memory telemetry set-up: exit 0, and either
+# counters attached (an `hw:` line) or the degradation notice.
+cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" --steps 4 --walkers 256 \
+    --hw-counters >"$PERF_TMP/hw_disk.out" 2>"$PERF_TMP/hw_disk.err"
+grep -q "^hw: " "$PERF_TMP/hw_disk.out" || grep -q "continuing without" "$PERF_TMP/hw_disk.err" || {
+    echo "disk-graph --hw-counters neither attached counters nor said why" >&2; exit 1; }
 # Hardware-gated: compare a fresh test-scale bench run against the
 # committed ledger only where counters exist (wall-clock numbers from a
 # PMU-less container are still compared — the ledger was recorded on

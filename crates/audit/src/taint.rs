@@ -17,9 +17,11 @@
 //!   (seed/epoch/partition/slot/…), never from an ambient source.
 //! * **fingerprint-completeness** — every `WalkConfig` field read on an
 //!   engine's run path must be folded into that engine's checkpoint
-//!   config fingerprint (`config_tag` / `ooc_config_tag`), so a
-//!   wrong-alpha or wrong-budget resume is caught at audit time rather
-//!   than as exit-4 at runtime.
+//!   config fingerprint (`config_fingerprint`), so a wrong-alpha or
+//!   wrong-budget resume is caught at audit time rather than as exit-4
+//!   at runtime.  An engine file whose fingerprint fn or run-path entry
+//!   point cannot be found is itself a finding, so a rename cannot
+//!   switch the check off.
 //!
 //! Taint findings are reported at the *frontier*: the deterministic
 //! function whose body contains the source directly, or whose direct
@@ -98,15 +100,12 @@ const STRUCTURED_IDENTS: [&str; 14] = [
     "gen",
 ];
 
-/// Engine fingerprint contracts: run-path entry points and the
-/// fingerprint functions that must fold every config field they read.
-const ENGINES: [(&str, &str, &[&str]); 2] = [
-    ("flashmob/src/engine.rs", "run", &["config_tag"]),
-    (
-        "flashmob/src/oocore.rs",
-        "run_ooc",
-        &["ooc_config_tag", "biblock_config_tag", "fold_init"],
-    ),
+/// Engine fingerprint contracts: (engine file, run-path entry-point
+/// prefix, the fingerprint fn in the engine's crate that must fold
+/// every config field the run path reads).
+const ENGINES: [(&str, &str, &str); 2] = [
+    ("flashmob/src/engine.rs", "run", "config_fingerprint"),
+    ("flashmob/src/oocore.rs", "run_ooc", "config_fingerprint"),
 ];
 
 /// Call-graph size counters for the report.
@@ -478,26 +477,51 @@ fn fingerprint_completeness(files: &[FileAst], graph: &CallGraph, findings: &mut
     };
     let fields: BTreeSet<String> = config.fields.iter().cloned().collect();
 
-    for (file_suffix, entry_prefix, fp_names) in ENGINES {
+    for (file_suffix, entry_prefix, fp_name) in ENGINES {
+        let Some(engine_file) = files.iter().find(|f| f.path.ends_with(file_suffix)) else {
+            continue; // engine not present in this workspace
+        };
+        let engine_crate = callgraph::crate_dir_of(&engine_file.path).to_string();
         let fp_idxs: Vec<usize> = graph
             .fns
             .iter()
             .enumerate()
-            .filter(|(_, f)| f.file.ends_with(file_suffix) && fp_names.contains(&f.name.as_str()))
+            .filter(|(_, f)| f.name == fp_name && f.crate_dir() == engine_crate)
             .map(|(i, _)| i)
             .collect();
-        if fp_idxs.is_empty() {
-            continue; // engine not present in this workspace
-        }
         let entries: Vec<usize> = graph
             .roots(file_suffix, entry_prefix)
             .into_iter()
             .filter(|i| !fp_idxs.contains(i))
             .collect();
-        if entries.is_empty() {
+        // Fail closed: a renamed fingerprint or entry point must not
+        // switch the check off silently.
+        let missing = if fp_idxs.is_empty() {
+            Some(format!("fingerprint fn `{fp_name}` in {engine_crate}"))
+        } else if entries.is_empty() {
+            Some(format!("run-path entry point `{entry_prefix}*`"))
+        } else {
+            None
+        };
+        if let Some(what) = missing {
+            let mut finding = Finding::new(
+                Lint::FingerprintCompleteness,
+                engine_file.path.clone(),
+                1,
+                format!(
+                    "engine {} has no {what}; its config fields cannot be \
+                     checked against a checkpoint fingerprint",
+                    engine_file.path
+                ),
+            );
+            finding.item = Some(fp_name.to_string());
+            finding.why = vec![format!(
+                "fingerprint contract: run path `{entry_prefix}*` in {} folds into `{fp_name}`",
+                engine_file.path
+            )];
+            findings.push(finding);
             continue;
         }
-        let engine_crate = callgraph::crate_dir_of(&graph.fns[entries[0]].file).to_string();
         // Intra-crate reachability: the run path within the engine crate.
         let mut reach = vec![false; graph.fns.len()];
         let mut stack = entries.clone();
@@ -698,7 +722,7 @@ mod tests {
              struct E { config: WalkConfig }\n\
              impl E {\n\
                  fn run(&self) { let _ = self.config.alpha; let _ = self.config.budget; }\n\
-                 fn config_tag(&self) -> u64 { let c = &self.config; c.alpha as u64 }\n\
+                 fn config_fingerprint(&self) -> u64 { let c = &self.config; c.alpha as u64 }\n\
              }\n",
         )]);
         assert_eq!(lint_items(&fs, Lint::FingerprintCompleteness), ["budget"]);
@@ -712,7 +736,7 @@ mod tests {
              struct E { config: WalkConfig }\n\
              impl E {\n\
                  fn run(&self) { let _ = self.config.alpha; }\n\
-                 fn config_tag(&self) -> u64 { self.config.alpha as u64 }\n\
+                 fn config_fingerprint(&self) -> u64 { self.config.alpha as u64 }\n\
              }\n",
         )]);
         assert!(fs.iter().all(|f| f.lint != Lint::FingerprintCompleteness));

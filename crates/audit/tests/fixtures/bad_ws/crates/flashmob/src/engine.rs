@@ -1,5 +1,5 @@
 // Violates fingerprint-completeness: the run path reads
-// `config.budget` but `config_tag` never folds it.
+// `config.budget` but `config_fingerprint` never folds it.
 pub struct WalkConfig {
     pub seed: u64,
     pub budget: usize,
@@ -14,7 +14,7 @@ impl Engine {
         self.config.seed.wrapping_add(self.config.budget as u64)
     }
 
-    pub fn config_tag(&self) -> u64 {
+    pub fn config_fingerprint(&self) -> u64 {
         self.config.seed
     }
 }

@@ -1,5 +1,5 @@
 // Violates fingerprint-completeness: `run` steers on `config.budget`
-// (via a step helper) but `config_tag` folds only alpha and seed, so a
+// (via a step helper) but `config_fingerprint` folds only alpha and seed, so a
 // resume under a different budget would pass validation and diverge.
 pub struct WalkConfig {
     pub alpha: f64,
@@ -23,7 +23,7 @@ impl Engine {
         acc.wrapping_add(self.config.budget as u64)
     }
 
-    pub fn config_tag(&self) -> u64 {
+    pub fn config_fingerprint(&self) -> u64 {
         let c = &self.config;
         let mut tag = c.seed;
         tag ^= (c.alpha * 1e9) as u64;

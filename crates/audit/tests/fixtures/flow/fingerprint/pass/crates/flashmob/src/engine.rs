@@ -21,7 +21,7 @@ impl Engine {
         acc.wrapping_add(self.config.budget as u64)
     }
 
-    pub fn config_tag(&self) -> u64 {
+    pub fn config_fingerprint(&self) -> u64 {
         let c = &self.config;
         let mut tag = c.seed;
         tag ^= (c.alpha * 1e9) as u64;

@@ -110,6 +110,21 @@ fn every_flow_fail_fixture_is_caught() {
 }
 
 #[test]
+fn missing_fingerprint_fn_fails_closed() {
+    // An engine whose fingerprint fn was renamed must be reported, not
+    // skipped: otherwise the rename switches the lint off.
+    let report = graph_scan("flow/fingerprint/missing");
+    let f = report
+        .findings
+        .iter()
+        .find(|f| f.lint == Lint::FingerprintCompleteness)
+        .expect("a renamed fingerprint fn must trip fingerprint-completeness");
+    assert_eq!(f.path, "crates/flashmob/src/engine.rs");
+    assert_eq!(f.item.as_deref(), Some("config_fingerprint"));
+    assert!(!f.why.is_empty(), "{f:?}");
+}
+
+#[test]
 fn every_flow_pass_fixture_is_clean() {
     for (dir, lint) in FLOW_CASES {
         let report = graph_scan(&format!("{dir}/pass"));

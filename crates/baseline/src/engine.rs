@@ -190,8 +190,7 @@ impl Baseline {
 
     /// Runs the walk and returns statistics.
     pub fn run_with_stats(&self) -> Result<(WalkOutput, BaselineStats), WalkError> {
-        let mut probe = NullProbe;
-        self.run_internal(&mut probe, true)
+        self.run_with(&mut Telemetry::off())
     }
 
     /// Runs the walk recording telemetry into `tel`.
@@ -201,12 +200,8 @@ impl Baseline {
     /// land on partition `t`, and the counter totals still sum exactly
     /// to [`BaselineStats::steps_taken`].  Recording does not touch the
     /// walk's RNG streams, so traced output is bit-identical.
-    pub fn run_traced(
-        &self,
-        tel: &mut Telemetry,
-    ) -> Result<(WalkOutput, BaselineStats), WalkError> {
-        let mut probe = NullProbe;
-        self.run_internal_tel(&mut probe, true, tel)
+    pub fn run_with(&self, tel: &mut Telemetry) -> Result<(WalkOutput, BaselineStats), WalkError> {
+        self.run_inner(&mut NullProbe, true, tel)
     }
 
     /// Runs the walk feeding every memory access into `probe`.
@@ -218,7 +213,7 @@ impl Baseline {
         &self,
         probe: &mut P,
     ) -> Result<(WalkOutput, BaselineStats), WalkError> {
-        self.run_internal(probe, false)
+        self.run_inner(probe, false, &mut Telemetry::off())
     }
 
     /// Builds the configured RNG from a seed value.
@@ -229,15 +224,7 @@ impl Baseline {
         }
     }
 
-    fn run_internal<P: Probe>(
-        &self,
-        probe: &mut P,
-        allow_parallel: bool,
-    ) -> Result<(WalkOutput, BaselineStats), WalkError> {
-        self.run_internal_tel(probe, allow_parallel, &mut Telemetry::off())
-    }
-
-    fn run_internal_tel<P: Probe>(
+    fn run_inner<P: Probe>(
         &self,
         probe: &mut P,
         allow_parallel: bool,
@@ -684,7 +671,7 @@ mod tests {
             let engine = Baseline::new(&g, config(100, 6).threads(threads)).unwrap();
             let (plain, ps) = engine.run_with_stats().unwrap();
             let mut tel = fm_telemetry::Telemetry::new();
-            let (traced, ts) = engine.run_traced(&mut tel).unwrap();
+            let (traced, ts) = engine.run_with(&mut tel).unwrap();
             assert_eq!(plain.paths(), traced.paths(), "tracing must not perturb RNG");
             assert_eq!(ps.steps_taken, ts.steps_taken);
             assert_eq!(

@@ -38,111 +38,9 @@ pub enum Command {
         /// Partitioning strategy.
         strategy: PlanStrategy,
     },
-    /// `fmwalk walk`.
-    Walk {
-        /// Graph path.
-        graph: PathBuf,
-        /// Engine selection.
-        engine: EngineChoice,
-        /// Algorithm selection.
-        algo: AlgoChoice,
-        /// Walker specification.
-        walkers: WalkerCount,
-        /// Steps per walker.
-        steps: usize,
-        /// RNG seed.
-        seed: u64,
-        /// Worker threads.
-        threads: usize,
-        /// Forced sample-ring depth (FlashMob only; 0 = planner auto).
-        ring_depth: usize,
-        /// Partitioning strategy (FlashMob only).
-        strategy: PlanStrategy,
-        /// Optional path-output file.
-        output: Option<PathBuf>,
-        /// Optional visit-counts file.
-        visits: Option<PathBuf>,
-        /// Print execution statistics (stage times, pool accounting).
-        stats: bool,
-        /// Optional Chrome Trace Event Format output file.
-        trace: Option<PathBuf>,
-        /// Optional JSONL metrics output file.
-        metrics: Option<PathBuf>,
-        /// Print a periodic progress heartbeat to stderr.
-        progress: bool,
-        /// Checkpoint directory (enables crash-safe checkpointing;
-        /// FlashMob engine only).
-        checkpoint_dir: Option<PathBuf>,
-        /// Checkpoint cadence in iterations (0 = default of 8 when a
-        /// directory is given).
-        checkpoint_every: usize,
-        /// Derive `slot % K` edge-type labels at load (`--labels K`;
-        /// 0 = leave the graph unlabeled).  Metapath programs need a
-        /// labeled graph.
-        labels: usize,
-        /// Attribute hardware counters (cycles, LLC/dTLB misses) to
-        /// stages via perf_event; degrades with a notice when the host
-        /// grants no perf access.
-        hw_counters: bool,
-        /// Out-of-core streaming-buffer budget in bytes (used when the
-        /// graph is an `FMDISK1` disk graph; 0 = 64 MiB default).
-        oocore_budget: usize,
-        /// Transient-fault injection rate for out-of-core block reads
-        /// (chaos testing; 0 = off).
-        fault_rate: f64,
-        /// Seed of the injected fault stream.
-        fault_seed: u64,
-        /// Stop deliberately right after writing this checkpoint
-        /// generation (crash-drill harness; 0 = run to completion).
-        halt_after: u64,
-    },
-    /// `fmwalk resume`: continue an interrupted `walk` from the latest
-    /// checkpoint in a directory.  The configuration flags must match
-    /// the interrupted run (mismatches are rejected by the checkpoint's
-    /// embedded config fingerprint); thread count may differ.
-    Resume {
-        /// Graph path (same graph as the interrupted run).
-        graph: PathBuf,
-        /// Checkpoint directory written by `walk --checkpoint-dir`.
-        dir: PathBuf,
-        /// Algorithm selection.
-        algo: AlgoChoice,
-        /// Walker specification.
-        walkers: WalkerCount,
-        /// Steps per walker.
-        steps: usize,
-        /// RNG seed.
-        seed: u64,
-        /// Worker threads.
-        threads: usize,
-        /// Forced sample-ring depth (0 = planner auto); may differ from
-        /// the interrupted run, since ring depth never changes the walk.
-        ring_depth: usize,
-        /// Partitioning strategy.
-        strategy: PlanStrategy,
-        /// Optional path-output file.
-        output: Option<PathBuf>,
-        /// Optional visit-counts file.
-        visits: Option<PathBuf>,
-        /// Print execution statistics.
-        stats: bool,
-        /// Optional Chrome Trace Event Format output file.
-        trace: Option<PathBuf>,
-        /// Optional JSONL metrics output file.
-        metrics: Option<PathBuf>,
-        /// Print a periodic progress heartbeat to stderr.
-        progress: bool,
-        /// Derive `slot % K` edge-type labels at load (must match the
-        /// interrupted run; 0 = unlabeled).
-        labels: usize,
-        /// Out-of-core streaming-buffer budget in bytes; must match the
-        /// interrupted run (the checkpoint fingerprint covers it).
-        oocore_budget: usize,
-        /// Transient-fault injection rate for out-of-core block reads.
-        fault_rate: f64,
-        /// Seed of the injected fault stream.
-        fault_seed: u64,
-    },
+    /// `fmwalk walk`, or `fmwalk resume` when
+    /// [`WalkArgs::resume_from`] is set.
+    Walk(WalkArgs),
     /// `fmwalk disk`: convert an in-memory graph (binary or edge list)
     /// into the out-of-core `FMDISK1` disk-graph layout, degree-sorted
     /// for cache-budgeted streaming.
@@ -220,6 +118,78 @@ pub enum Command {
     },
     /// `fmwalk help`.
     Help,
+}
+
+/// The arguments of `fmwalk walk` and `fmwalk resume`.
+///
+/// `resume` continues an interrupted `walk` from the latest checkpoint
+/// in a directory.  Its configuration flags must match the interrupted
+/// run (mismatches are rejected by the checkpoint's embedded config
+/// fingerprint); thread count may differ.  It takes the walk flags
+/// minus `--engine`, the checkpoint flags, `--hw-counters` and
+/// `--halt-after`, which keep their defaults.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WalkArgs {
+    /// Graph path.
+    pub graph: PathBuf,
+    /// Engine selection.
+    pub engine: EngineChoice,
+    /// Algorithm selection.
+    pub algo: AlgoChoice,
+    /// Walker specification.
+    pub walkers: WalkerCount,
+    /// Steps per walker.
+    pub steps: usize,
+    /// RNG seed.
+    pub seed: u64,
+    /// Worker threads.
+    pub threads: usize,
+    /// Forced sample-ring depth (FlashMob only; 0 = planner auto).  It
+    /// never changes the walk, so a resume may use another depth.
+    pub ring_depth: usize,
+    /// Partitioning strategy (FlashMob only).
+    pub strategy: PlanStrategy,
+    /// Optional path-output file.
+    pub output: Option<PathBuf>,
+    /// Optional visit-counts file.
+    pub visits: Option<PathBuf>,
+    /// Print execution statistics (stage times, pool accounting).
+    pub stats: bool,
+    /// Optional Chrome Trace Event Format output file.
+    pub trace: Option<PathBuf>,
+    /// Optional JSONL metrics output file.
+    pub metrics: Option<PathBuf>,
+    /// Print a periodic progress heartbeat to stderr.
+    pub progress: bool,
+    /// Checkpoint directory (enables crash-safe checkpointing;
+    /// FlashMob engine only).
+    pub checkpoint_dir: Option<PathBuf>,
+    /// Checkpoint cadence in iterations (0 = default of 8 when a
+    /// directory is given).
+    pub checkpoint_every: usize,
+    /// Derive `slot % K` edge-type labels at load (`--labels K`;
+    /// 0 = leave the graph unlabeled).  Metapath programs need a
+    /// labeled graph.
+    pub labels: usize,
+    /// Attribute hardware counters (cycles, LLC/dTLB misses) to
+    /// stages via perf_event; degrades with a notice when the host
+    /// grants no perf access.
+    pub hw_counters: bool,
+    /// Out-of-core streaming-buffer budget in bytes (used when the
+    /// graph is an `FMDISK1` disk graph; 0 = 64 MiB default).  A resume
+    /// must use the interrupted run's budget.
+    pub oocore_budget: usize,
+    /// Transient-fault injection rate for out-of-core block reads
+    /// (chaos testing; 0 = off).
+    pub fault_rate: f64,
+    /// Seed of the injected fault stream.
+    pub fault_seed: u64,
+    /// Stop deliberately right after writing this checkpoint
+    /// generation (crash-drill harness; 0 = run to completion).
+    pub halt_after: u64,
+    /// Checkpoint directory to resume from (`resume`); `None` walks
+    /// from scratch.
+    pub resume_from: Option<PathBuf>,
 }
 
 /// Walkers either as an absolute count or a multiple of |V|.
@@ -448,178 +418,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                 strategy,
             })
         }
-        "walk" => {
-            let graph = PathBuf::from(c.demand("graph path")?);
-            let mut engine = EngineChoice::FlashMob;
-            let mut algo_name = "deepwalk".to_string();
-            let (mut p, mut q) = (1.0f64, 1.0f64);
-            let mut alpha = 0.15f64;
-            let mut pattern = None;
-            let mut labels = 0usize;
-            let mut walkers = WalkerCount::PerVertex(1);
-            let mut steps = 80usize;
-            let mut seed = 1u64;
-            let mut threads = 1usize;
-            let mut ring_depth = 0usize;
-            let mut strategy = PlanStrategy::DynamicProgramming;
-            let mut output = None;
-            let mut visits = None;
-            let mut stats = false;
-            let mut trace = None;
-            let mut metrics = None;
-            let mut progress = false;
-            let mut checkpoint_dir = None;
-            let mut checkpoint_every = 0usize;
-            let mut hw_counters = false;
-            let mut oocore_budget = 0usize;
-            let mut fault_rate = 0.0f64;
-            let mut fault_seed = 1u64;
-            let mut halt_after = 0u64;
-            while let Some(flag) = c.next() {
-                match flag.as_str() {
-                    "--checkpoint-dir" => {
-                        checkpoint_dir = Some(PathBuf::from(c.demand("checkpoint directory")?))
-                    }
-                    "--checkpoint-every" => checkpoint_every = c.value("--checkpoint-every")?,
-                    "--oocore-budget" => oocore_budget = c.value("--oocore-budget")?,
-                    "--fault-rate" => fault_rate = c.value("--fault-rate")?,
-                    "--fault-seed" => fault_seed = c.value("--fault-seed")?,
-                    "--halt-after" => halt_after = c.value("--halt-after")?,
-                    "--engine" => {
-                        engine = match c.demand("engine")?.as_str() {
-                            "flashmob" => EngineChoice::FlashMob,
-                            "knightking" => EngineChoice::KnightKing,
-                            "graphvite" => EngineChoice::GraphVite,
-                            other => return Err(err(format!("unknown engine {other}"))),
-                        }
-                    }
-                    "--algo" | "--program" => algo_name = c.demand("algorithm")?,
-                    "--p" => p = c.value("--p")?,
-                    "--q" => q = c.value("--q")?,
-                    "--alpha" => alpha = c.value("--alpha")?,
-                    "--pattern" => pattern = Some(parse_pattern(&c.value::<String>("pattern")?)?),
-                    "--labels" => labels = c.value("--labels")?,
-                    "--walkers" => walkers = WalkerCount::Absolute(c.value("--walkers")?),
-                    "--walkers-mult" => {
-                        walkers = WalkerCount::PerVertex(c.value("--walkers-mult")?)
-                    }
-                    "--steps" => steps = c.value("--steps")?,
-                    "--seed" => seed = c.value("--seed")?,
-                    "--threads" => threads = c.value("--threads")?,
-                    "--ring-depth" => ring_depth = c.value("--ring-depth")?,
-                    "--strategy" => strategy = parse_strategy(&c.demand("strategy")?)?,
-                    "--output" => output = Some(PathBuf::from(c.demand("output path")?)),
-                    "--visits" => visits = Some(PathBuf::from(c.demand("visits path")?)),
-                    "--stats" => stats = true,
-                    "--trace" => trace = Some(PathBuf::from(c.demand("trace path")?)),
-                    "--metrics" => metrics = Some(PathBuf::from(c.demand("metrics path")?)),
-                    "--progress" => progress = true,
-                    "--hw-counters" => hw_counters = true,
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
-            }
-            let algo = resolve_algo(&algo_name, p, q, alpha, pattern)?;
-            Ok(Command::Walk {
-                graph,
-                engine,
-                algo,
-                walkers,
-                steps,
-                seed,
-                threads,
-                ring_depth,
-                strategy,
-                output,
-                visits,
-                stats,
-                trace,
-                metrics,
-                progress,
-                checkpoint_dir,
-                checkpoint_every,
-                labels,
-                hw_counters,
-                oocore_budget,
-                fault_rate,
-                fault_seed,
-                halt_after,
-            })
-        }
-        "resume" => {
-            let graph = PathBuf::from(c.demand("graph path")?);
-            let dir = PathBuf::from(c.demand("checkpoint directory")?);
-            let mut algo_name = "deepwalk".to_string();
-            let (mut p, mut q) = (1.0f64, 1.0f64);
-            let mut alpha = 0.15f64;
-            let mut pattern = None;
-            let mut labels = 0usize;
-            let mut walkers = WalkerCount::PerVertex(1);
-            let mut steps = 80usize;
-            let mut seed = 1u64;
-            let mut threads = 1usize;
-            let mut ring_depth = 0usize;
-            let mut strategy = PlanStrategy::DynamicProgramming;
-            let mut output = None;
-            let mut visits = None;
-            let mut stats = false;
-            let mut trace = None;
-            let mut metrics = None;
-            let mut progress = false;
-            let mut oocore_budget = 0usize;
-            let mut fault_rate = 0.0f64;
-            let mut fault_seed = 1u64;
-            while let Some(flag) = c.next() {
-                match flag.as_str() {
-                    "--oocore-budget" => oocore_budget = c.value("--oocore-budget")?,
-                    "--fault-rate" => fault_rate = c.value("--fault-rate")?,
-                    "--fault-seed" => fault_seed = c.value("--fault-seed")?,
-                    "--algo" | "--program" => algo_name = c.demand("algorithm")?,
-                    "--p" => p = c.value("--p")?,
-                    "--q" => q = c.value("--q")?,
-                    "--alpha" => alpha = c.value("--alpha")?,
-                    "--pattern" => pattern = Some(parse_pattern(&c.value::<String>("pattern")?)?),
-                    "--labels" => labels = c.value("--labels")?,
-                    "--walkers" => walkers = WalkerCount::Absolute(c.value("--walkers")?),
-                    "--walkers-mult" => {
-                        walkers = WalkerCount::PerVertex(c.value("--walkers-mult")?)
-                    }
-                    "--steps" => steps = c.value("--steps")?,
-                    "--seed" => seed = c.value("--seed")?,
-                    "--threads" => threads = c.value("--threads")?,
-                    "--ring-depth" => ring_depth = c.value("--ring-depth")?,
-                    "--strategy" => strategy = parse_strategy(&c.demand("strategy")?)?,
-                    "--output" => output = Some(PathBuf::from(c.demand("output path")?)),
-                    "--visits" => visits = Some(PathBuf::from(c.demand("visits path")?)),
-                    "--stats" => stats = true,
-                    "--trace" => trace = Some(PathBuf::from(c.demand("trace path")?)),
-                    "--metrics" => metrics = Some(PathBuf::from(c.demand("metrics path")?)),
-                    "--progress" => progress = true,
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
-            }
-            let algo = resolve_algo(&algo_name, p, q, alpha, pattern)?;
-            Ok(Command::Resume {
-                graph,
-                dir,
-                algo,
-                walkers,
-                steps,
-                seed,
-                threads,
-                ring_depth,
-                strategy,
-                output,
-                visits,
-                stats,
-                trace,
-                metrics,
-                progress,
-                labels,
-                oocore_budget,
-                fault_rate,
-                fault_seed,
-            })
-        }
+        "walk" | "resume" => parse_walk(&mut c, cmd == "resume").map(Command::Walk),
         "disk" => {
             let input = match c.next() {
                 Some(p) => PathBuf::from(p),
@@ -764,6 +563,95 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
     }
 }
 
+/// Parses `walk <graph> [flags]` or `resume <graph> <ckpt-dir> [flags]`.
+fn parse_walk(c: &mut Cursor, resume: bool) -> Result<WalkArgs, ParseError> {
+    let graph = PathBuf::from(c.demand("graph path")?);
+    let resume_from = if resume {
+        Some(PathBuf::from(c.demand("checkpoint directory")?))
+    } else {
+        None
+    };
+    let mut a = WalkArgs {
+        graph,
+        engine: EngineChoice::FlashMob,
+        algo: AlgoChoice::DeepWalk,
+        walkers: WalkerCount::PerVertex(1),
+        steps: 80,
+        seed: 1,
+        threads: 1,
+        ring_depth: 0,
+        strategy: PlanStrategy::DynamicProgramming,
+        output: None,
+        visits: None,
+        stats: false,
+        trace: None,
+        metrics: None,
+        progress: false,
+        checkpoint_dir: None,
+        checkpoint_every: 0,
+        labels: 0,
+        hw_counters: false,
+        oocore_budget: 0,
+        fault_rate: 0.0,
+        fault_seed: 1,
+        halt_after: 0,
+        resume_from,
+    };
+    let mut algo_name = "deepwalk".to_string();
+    let (mut p, mut q) = (1.0f64, 1.0f64);
+    let mut alpha = 0.15f64;
+    let mut pattern = None;
+    while let Some(flag) = c.next() {
+        match flag.as_str() {
+            "--engine" | "--checkpoint-dir" | "--checkpoint-every" | "--hw-counters"
+            | "--halt-after"
+                if resume =>
+            {
+                return Err(err(format!("unknown flag {flag}")))
+            }
+            "--checkpoint-dir" => {
+                a.checkpoint_dir = Some(PathBuf::from(c.demand("checkpoint directory")?))
+            }
+            "--checkpoint-every" => a.checkpoint_every = c.value("--checkpoint-every")?,
+            "--oocore-budget" => a.oocore_budget = c.value("--oocore-budget")?,
+            "--fault-rate" => a.fault_rate = c.value("--fault-rate")?,
+            "--fault-seed" => a.fault_seed = c.value("--fault-seed")?,
+            "--halt-after" => a.halt_after = c.value("--halt-after")?,
+            "--engine" => {
+                a.engine = match c.demand("engine")?.as_str() {
+                    "flashmob" => EngineChoice::FlashMob,
+                    "knightking" => EngineChoice::KnightKing,
+                    "graphvite" => EngineChoice::GraphVite,
+                    other => return Err(err(format!("unknown engine {other}"))),
+                }
+            }
+            "--algo" | "--program" => algo_name = c.demand("algorithm")?,
+            "--p" => p = c.value("--p")?,
+            "--q" => q = c.value("--q")?,
+            "--alpha" => alpha = c.value("--alpha")?,
+            "--pattern" => pattern = Some(parse_pattern(&c.value::<String>("pattern")?)?),
+            "--labels" => a.labels = c.value("--labels")?,
+            "--walkers" => a.walkers = WalkerCount::Absolute(c.value("--walkers")?),
+            "--walkers-mult" => a.walkers = WalkerCount::PerVertex(c.value("--walkers-mult")?),
+            "--steps" => a.steps = c.value("--steps")?,
+            "--seed" => a.seed = c.value("--seed")?,
+            "--threads" => a.threads = c.value("--threads")?,
+            "--ring-depth" => a.ring_depth = c.value("--ring-depth")?,
+            "--strategy" => a.strategy = parse_strategy(&c.demand("strategy")?)?,
+            "--output" => a.output = Some(PathBuf::from(c.demand("output path")?)),
+            "--visits" => a.visits = Some(PathBuf::from(c.demand("visits path")?)),
+            "--stats" => a.stats = true,
+            "--trace" => a.trace = Some(PathBuf::from(c.demand("trace path")?)),
+            "--metrics" => a.metrics = Some(PathBuf::from(c.demand("metrics path")?)),
+            "--progress" => a.progress = true,
+            "--hw-counters" => a.hw_counters = true,
+            other => return Err(err(format!("unknown flag {other}"))),
+        }
+    }
+    a.algo = resolve_algo(&algo_name, p, q, alpha, pattern)?;
+    Ok(a)
+}
+
 /// Resolves an `--algo`/`--program` name plus its parameter flags.
 ///
 /// `pattern` is `Some` only when `--pattern` was given; metapath
@@ -859,14 +747,14 @@ mod tests {
     #[test]
     fn walk_defaults() {
         match p("walk g.bin").unwrap() {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 engine,
                 algo,
                 walkers,
                 steps,
                 threads,
                 ..
-            } => {
+            }) => {
                 assert_eq!(engine, EngineChoice::FlashMob);
                 assert_eq!(algo, AlgoChoice::DeepWalk);
                 assert_eq!(walkers, WalkerCount::PerVertex(1));
@@ -880,14 +768,14 @@ mod tests {
     #[test]
     fn walk_stats_flag() {
         match p("walk g.bin --threads 4 --stats").unwrap() {
-            Command::Walk { threads, stats, .. } => {
+            Command::Walk(WalkArgs { threads, stats, .. }) => {
                 assert_eq!(threads, 4);
                 assert!(stats);
             }
             other => panic!("{other:?}"),
         }
         match p("walk g.bin").unwrap() {
-            Command::Walk { stats, .. } => assert!(!stats),
+            Command::Walk(WalkArgs { stats, .. }) => assert!(!stats),
             other => panic!("{other:?}"),
         }
     }
@@ -895,16 +783,20 @@ mod tests {
     #[test]
     fn walk_ring_depth_flag() {
         match p("walk g.bin --ring-depth 8").unwrap() {
-            Command::Walk { ring_depth, .. } => assert_eq!(ring_depth, 8),
+            Command::Walk(WalkArgs { ring_depth, .. }) => assert_eq!(ring_depth, 8),
             other => panic!("{other:?}"),
         }
         // Default: 0 = planner auto.
         match p("walk g.bin").unwrap() {
-            Command::Walk { ring_depth, .. } => assert_eq!(ring_depth, 0),
+            Command::Walk(WalkArgs { ring_depth, .. }) => assert_eq!(ring_depth, 0),
             other => panic!("{other:?}"),
         }
         match p("resume g.bin ck --ring-depth 4").unwrap() {
-            Command::Resume { ring_depth, .. } => assert_eq!(ring_depth, 4),
+            Command::Walk(WalkArgs {
+                ring_depth,
+                resume_from: Some(_),
+                ..
+            }) => assert_eq!(ring_depth, 4),
             other => panic!("{other:?}"),
         }
         assert!(p("walk g.bin --ring-depth nope").is_err());
@@ -914,12 +806,12 @@ mod tests {
     fn walk_node2vec_with_params() {
         match p("walk g.bin --algo node2vec --p 0.25 --q 4 --steps 40 --engine knightking").unwrap()
         {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 engine,
                 algo,
                 steps,
                 ..
-            } => {
+            }) => {
                 assert_eq!(engine, EngineChoice::KnightKing);
                 assert_eq!(algo, AlgoChoice::Node2Vec { p: 0.25, q: 4.0 });
                 assert_eq!(steps, 40);
@@ -1021,20 +913,20 @@ mod tests {
         // `--program` is an alias for `--algo`, covering the walk
         // programs; `--alpha` parameterizes PPR (default 0.15).
         match p("walk g.bin --program ppr").unwrap() {
-            Command::Walk { algo, .. } => assert_eq!(algo, AlgoChoice::Ppr { alpha: 0.15 }),
+            Command::Walk(WalkArgs { algo, .. }) => assert_eq!(algo, AlgoChoice::Ppr { alpha: 0.15 }),
             other => panic!("{other:?}"),
         }
         match p("walk g.bin --program ppr --alpha 0.4").unwrap() {
-            Command::Walk { algo, .. } => assert_eq!(algo, AlgoChoice::Ppr { alpha: 0.4 }),
+            Command::Walk(WalkArgs { algo, .. }) => assert_eq!(algo, AlgoChoice::Ppr { alpha: 0.4 }),
             other => panic!("{other:?}"),
         }
         match p("walk g.bin --algo early-exit").unwrap() {
-            Command::Walk { algo, .. } => assert_eq!(algo, AlgoChoice::EarlyExit),
+            Command::Walk(WalkArgs { algo, .. }) => assert_eq!(algo, AlgoChoice::EarlyExit),
             other => panic!("{other:?}"),
         }
         // Classical algorithms remain reachable through the alias.
         match p("walk g.bin --program node2vec --p 0.5").unwrap() {
-            Command::Walk { algo, .. } => {
+            Command::Walk(WalkArgs { algo, .. }) => {
                 assert_eq!(algo, AlgoChoice::Node2Vec { p: 0.5, q: 1.0 });
             }
             other => panic!("{other:?}"),
@@ -1048,7 +940,7 @@ mod tests {
     #[test]
     fn walk_metapath_pattern_and_labels() {
         match p("walk g.bin --program metapath --pattern 2,0,1 --labels 3").unwrap() {
-            Command::Walk { algo, labels, .. } => {
+            Command::Walk(WalkArgs { algo, labels, .. }) => {
                 assert_eq!(
                     algo,
                     AlgoChoice::Metapath {
@@ -1061,7 +953,7 @@ mod tests {
         }
         // Default pattern is the two-phase 0,1 cycle; default labels 0.
         match p("walk g.bin --program metapath").unwrap() {
-            Command::Walk { algo, labels, .. } => {
+            Command::Walk(WalkArgs { algo, labels, .. }) => {
                 assert_eq!(
                     algo,
                     AlgoChoice::Metapath {
@@ -1083,7 +975,7 @@ mod tests {
         // Resume accepts the same program flags (it must rebuild the
         // interrupted run's configuration exactly).
         match p("resume g.bin ck --program ppr --alpha 0.25 --labels 2").unwrap() {
-            Command::Resume { algo, labels, .. } => {
+            Command::Walk(WalkArgs { algo, labels, resume_from: Some(_), .. }) => {
                 assert_eq!(algo, AlgoChoice::Ppr { alpha: 0.25 });
                 assert_eq!(labels, 2);
             }
@@ -1094,12 +986,12 @@ mod tests {
     #[test]
     fn walk_telemetry_flags() {
         match p("walk g.bin --trace t.json --metrics m.jsonl --progress").unwrap() {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 trace,
                 metrics,
                 progress,
                 ..
-            } => {
+            }) => {
                 assert_eq!(trace, Some(PathBuf::from("t.json")));
                 assert_eq!(metrics, Some(PathBuf::from("m.jsonl")));
                 assert!(progress);
@@ -1107,12 +999,12 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match p("walk g.bin").unwrap() {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 trace,
                 metrics,
                 progress,
                 ..
-            } => {
+            }) => {
                 assert!(trace.is_none() && metrics.is_none() && !progress);
             }
             other => panic!("{other:?}"),
@@ -1161,11 +1053,11 @@ mod tests {
     #[test]
     fn walk_hw_counters_flag() {
         match p("walk g.bin --hw-counters").unwrap() {
-            Command::Walk { hw_counters, .. } => assert!(hw_counters),
+            Command::Walk(WalkArgs { hw_counters, .. }) => assert!(hw_counters),
             other => panic!("{other:?}"),
         }
         match p("walk g.bin").unwrap() {
-            Command::Walk { hw_counters, .. } => assert!(!hw_counters),
+            Command::Walk(WalkArgs { hw_counters, .. }) => assert!(!hw_counters),
             other => panic!("{other:?}"),
         }
         // Resume does not take the flag (checkpointed replay must stay
@@ -1249,22 +1141,22 @@ mod tests {
     #[test]
     fn walk_checkpoint_flags() {
         match p("walk g.bin --checkpoint-dir ck --checkpoint-every 16").unwrap() {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 checkpoint_dir,
                 checkpoint_every,
                 ..
-            } => {
+            }) => {
                 assert_eq!(checkpoint_dir, Some(PathBuf::from("ck")));
                 assert_eq!(checkpoint_every, 16);
             }
             other => panic!("{other:?}"),
         }
         match p("walk g.bin").unwrap() {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 checkpoint_dir,
                 checkpoint_every,
                 ..
-            } => {
+            }) => {
                 assert!(checkpoint_dir.is_none());
                 assert_eq!(checkpoint_every, 0);
             }
@@ -1279,17 +1171,17 @@ mod tests {
     #[test]
     fn resume_command() {
         match p("resume g.bin ck --steps 40 --seed 7 --threads 4 --output o.txt").unwrap() {
-            Command::Resume {
+            Command::Walk(WalkArgs {
                 graph,
-                dir,
+                resume_from,
                 steps,
                 seed,
                 threads,
                 output,
                 ..
-            } => {
+            }) => {
                 assert_eq!(graph, PathBuf::from("g.bin"));
-                assert_eq!(dir, PathBuf::from("ck"));
+                assert_eq!(resume_from, Some(PathBuf::from("ck")));
                 assert_eq!(steps, 40);
                 assert_eq!(seed, 7);
                 assert_eq!(threads, 4);
@@ -1298,10 +1190,17 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(p("resume g.bin").unwrap_err().0.contains("checkpoint directory"));
-        assert!(p("resume g.bin ck --engine knightking")
-            .unwrap_err()
-            .0
-            .contains("unknown flag"));
+        for walk_only in ["--engine knightking", "--checkpoint-dir d", "--hw-counters"] {
+            assert!(p(&format!("resume g.bin ck {walk_only}"))
+                .unwrap_err()
+                .0
+                .contains("unknown flag"));
+        }
+        // A plain walk never resumes.
+        match p("walk g.bin").unwrap() {
+            Command::Walk(WalkArgs { resume_from, .. }) => assert!(resume_from.is_none()),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -4,14 +4,15 @@ use std::io::Write;
 use std::path::Path;
 
 use flashmob::{
-    oocore::{run_ooc_with, DiskGraph, OocOptions, OocStats},
-    FaultPolicy, FlashMob, WalkAlgorithm, WalkConfig, WalkOutput,
+    oocore::{run_ooc_with, DiskGraph, OocStats},
+    CheckpointSpec, FaultPolicy, FlashMob, RunOptions, WalkAlgorithm, WalkConfig, WalkError,
+    WalkOutput,
 };
 use fm_baseline::{Baseline, BaselineConfig, BaselineKind};
 use fm_graph::{io, stats, synth, transform, Csr, VertexId};
 use fm_telemetry::{export, tef, Telemetry};
 
-use crate::args::{AlgoChoice, Command, EngineChoice, SynthKind, SynthParams};
+use crate::args::{AlgoChoice, Command, EngineChoice, SynthKind, SynthParams, WalkArgs};
 
 /// Process exit-code class of a command failure.
 ///
@@ -263,266 +264,7 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             .map_err(fail)?;
             Ok(())
         }
-        Command::Walk {
-            graph,
-            engine,
-            algo,
-            walkers,
-            steps,
-            seed,
-            threads,
-            ring_depth,
-            strategy,
-            output,
-            visits,
-            stats: show_stats,
-            trace,
-            metrics,
-            progress,
-            checkpoint_dir,
-            checkpoint_every,
-            labels,
-            hw_counters,
-            oocore_budget,
-            fault_rate,
-            fault_seed,
-            halt_after,
-        } => {
-            if is_disk_graph(&graph) {
-                if engine != EngineChoice::FlashMob {
-                    return Err(fail_plan("disk graphs run on --engine flashmob only"));
-                }
-                if labels > 0 {
-                    return Err(fail_plan("disk graphs carry no edge labels"));
-                }
-                return run_ooc_command(
-                    out,
-                    OocRun {
-                        graph,
-                        algo,
-                        walkers,
-                        steps,
-                        seed,
-                        threads,
-                        budget: oocore_budget,
-                        fault_rate,
-                        fault_seed,
-                        checkpoint: checkpoint_dir.map(|d| (d, checkpoint_every)),
-                        halt_after,
-                        resume_from: None,
-                        output,
-                        visits,
-                        show_stats,
-                        trace,
-                        metrics,
-                        progress,
-                    },
-                );
-            }
-            if oocore_budget > 0 || fault_rate > 0.0 || halt_after > 0 {
-                return Err(fail_plan(
-                    "--oocore-budget/--fault-rate/--halt-after apply to FMDISK1 disk graphs only (create one with `fmwalk disk`)",
-                ));
-            }
-            let g = with_derived_labels(load_graph(&graph)?, labels)?;
-            let n_walkers = walkers.resolve(g.vertex_count()).max(1);
-            let algorithm = walk_algorithm(algo);
-            let record_paths = output.is_some();
-            let record_visits = visits.is_some();
-            let mut tel = make_telemetry(
-                trace.is_some() || metrics.is_some() || hw_counters,
-                progress,
-                show_stats,
-            );
-            if hw_counters {
-                // Degradation is part of the contract: unprivileged or
-                // PMU-less hosts get a notice on stderr and an otherwise
-                // bit-identical run.
-                if let Err(reason) = tel.enable_hw_counters() {
-                    eprintln!("[fmwalk] {reason}; continuing without");
-                }
-            }
-            let checkpoint = match (checkpoint_dir, checkpoint_every) {
-                (None, 0) => None,
-                (None, _) => {
-                    return Err(fail_plan(
-                        "--checkpoint-every requires --checkpoint-dir",
-                    ))
-                }
-                (Some(dir), every) => {
-                    if engine != EngineChoice::FlashMob {
-                        return Err(fail_plan(
-                            "checkpointing requires --engine flashmob",
-                        ));
-                    }
-                    Some(flashmob::CheckpointSpec::new(
-                        dir,
-                        if every == 0 { 8 } else { every },
-                    ))
-                }
-            };
-            let (walk_output, steps_taken, per_step_ns, visits_vec, stats_report): (
-                Option<WalkOutput>,
-                u64,
-                f64,
-                Option<Vec<u64>>,
-                Option<String>,
-            ) = match engine {
-                EngineChoice::FlashMob => {
-                    let mut cfg = WalkConfig::deepwalk()
-                        .walkers(n_walkers)
-                        .steps(steps)
-                        .seed(seed)
-                        .threads(threads)
-                        .strategy(strategy)
-                        .record_paths(record_paths)
-                        .record_visits(record_visits);
-                    if ring_depth > 0 {
-                        cfg = cfg.ring_depth(ring_depth);
-                    }
-                    cfg.algorithm = algorithm;
-                    let e = FlashMob::new(&g, cfg).map_err(fail_walk)?;
-                    let (o, s) = match &checkpoint {
-                        Some(spec) => e
-                            .run_with_checkpoints_traced(spec, &mut tel)
-                            .map_err(fail_walk)?,
-                        None => e.run_traced(&mut tel).map_err(fail_walk)?,
-                    };
-                    let v = s.visits_original(e.relabeling());
-                    let report = show_stats.then(|| s.human_summary());
-                    (Some(o), s.steps_taken, s.per_step_ns(), v, report)
-                }
-                EngineChoice::KnightKing | EngineChoice::GraphVite => {
-                    let kind = if engine == EngineChoice::KnightKing {
-                        BaselineKind::KnightKing
-                    } else {
-                        BaselineKind::GraphVite
-                    };
-                    let cfg = BaselineConfig {
-                        kind,
-                        ..BaselineConfig::knightking_deepwalk()
-                    }
-                    .algorithm(algorithm)
-                    .walkers(n_walkers)
-                    .steps(steps)
-                    .seed(seed)
-                    .threads(threads)
-                    .record_paths(record_paths)
-                    .record_visits(record_visits);
-                    let e = Baseline::new(&g, cfg).map_err(fail_walk)?;
-                    let (o, s) = e.run_traced(&mut tel).map_err(fail_walk)?;
-                    let report = show_stats.then(|| s.human_summary());
-                    (Some(o), s.steps_taken, s.per_step_ns(), s.visits, report)
-                }
-            };
-            report_run(
-                out,
-                &tel,
-                RunReport {
-                    walk_output,
-                    steps_taken,
-                    per_step_ns,
-                    visits_vec,
-                    stats_report,
-                    output,
-                    visits,
-                    trace,
-                    metrics,
-                },
-            )
-        }
-        Command::Resume {
-            graph,
-            dir,
-            algo,
-            walkers,
-            steps,
-            seed,
-            threads,
-            ring_depth,
-            strategy,
-            output,
-            visits,
-            stats: show_stats,
-            trace,
-            metrics,
-            progress,
-            labels,
-            oocore_budget,
-            fault_rate,
-            fault_seed,
-        } => {
-            if is_disk_graph(&graph) {
-                if labels > 0 {
-                    return Err(fail_plan("disk graphs carry no edge labels"));
-                }
-                return run_ooc_command(
-                    out,
-                    OocRun {
-                        graph,
-                        algo,
-                        walkers,
-                        steps,
-                        seed,
-                        threads,
-                        budget: oocore_budget,
-                        fault_rate,
-                        fault_seed,
-                        checkpoint: None,
-                        halt_after: 0,
-                        resume_from: Some(dir),
-                        output,
-                        visits,
-                        show_stats,
-                        trace,
-                        metrics,
-                        progress,
-                    },
-                );
-            }
-            if oocore_budget > 0 || fault_rate > 0.0 {
-                return Err(fail_plan(
-                    "--oocore-budget/--fault-rate apply to FMDISK1 disk graphs only",
-                ));
-            }
-            let g = with_derived_labels(load_graph(&graph)?, labels)?;
-            let n_walkers = walkers.resolve(g.vertex_count()).max(1);
-            let record_paths = output.is_some();
-            let record_visits = visits.is_some();
-            let mut tel = make_telemetry(trace.is_some() || metrics.is_some(), progress, show_stats);
-            let mut cfg = WalkConfig::deepwalk()
-                .walkers(n_walkers)
-                .steps(steps)
-                .seed(seed)
-                .threads(threads)
-                .strategy(strategy)
-                .record_paths(record_paths)
-                .record_visits(record_visits);
-            if ring_depth > 0 {
-                cfg = cfg.ring_depth(ring_depth);
-            }
-            cfg.algorithm = walk_algorithm(algo);
-            let e = FlashMob::new(&g, cfg).map_err(fail_walk)?;
-            let (o, s) = e.resume_with(&dir, None, &mut tel).map_err(fail_walk)?;
-            writeln!(out, "resumed from {}", dir.display()).map_err(fail)?;
-            let v = s.visits_original(e.relabeling());
-            let report = show_stats.then(|| s.human_summary());
-            report_run(
-                out,
-                &tel,
-                RunReport {
-                    walk_output: Some(o),
-                    steps_taken: s.steps_taken,
-                    per_step_ns: s.per_step_ns(),
-                    visits_vec: v,
-                    stats_report: report,
-                    output,
-                    visits,
-                    trace,
-                    metrics,
-                },
-            )
-        }
+        Command::Walk(args) => walk(out, args),
         Command::Disk { input, output } => {
             let g = load_graph(&input)?;
             let disk = DiskGraph::create(&g, &output).map_err(fail_disk)?;
@@ -1082,76 +824,155 @@ fn fmt_rate(rate: f64) -> String {
     }
 }
 
-/// Everything an out-of-core `walk`/`resume` invocation needs.
-struct OocRun {
-    graph: std::path::PathBuf,
-    algo: AlgoChoice,
-    walkers: crate::args::WalkerCount,
-    steps: usize,
-    seed: u64,
-    threads: usize,
-    /// Streaming-buffer budget in bytes (0 = 64 MiB default).
-    budget: usize,
-    fault_rate: f64,
-    fault_seed: u64,
-    checkpoint: Option<(std::path::PathBuf, usize)>,
-    halt_after: u64,
-    resume_from: Option<std::path::PathBuf>,
-    output: Option<std::path::PathBuf>,
-    visits: Option<std::path::PathBuf>,
-    show_stats: bool,
-    trace: Option<std::path::PathBuf>,
-    metrics: Option<std::path::PathBuf>,
-    progress: bool,
+/// The graph a walk runs on.
+enum Loaded {
+    Memory(Csr),
+    Disk(DiskGraph),
 }
 
-/// Runs `walk`/`resume` against an `FMDISK1` disk graph: first-order
-/// DeepWalk streams partitions; node2vec and PPR go through the
-/// triangular bi-block scheduler.  `--fault-rate` injects seeded
-/// transient faults into every block read (absorbed by the retry
-/// layer and reported in stats/metrics); `--halt-after G` stops
-/// deliberately right after checkpoint generation `G` — the scripted
-/// crash-drill hook, a success, not an error.
-fn run_ooc_command<W: Write>(out: &mut W, a: OocRun) -> Result<(), CmdError> {
-    if a.threads > 1 {
-        return Err(fail_plan("out-of-core walking is single-threaded"));
-    }
-    let disk = DiskGraph::open(&a.graph).map_err(fail_disk)?;
-    let n_walkers = a.walkers.resolve(disk.vertex_count()).max(1);
-    let record_paths = a.output.is_some() || a.visits.is_some();
-    let mut cfg = WalkConfig::deepwalk()
-        .walkers(n_walkers)
-        .steps(a.steps)
-        .seed(a.seed)
-        .record_paths(record_paths);
-    cfg.algorithm = walk_algorithm(a.algo);
-    let budget = if a.budget == 0 { 64 << 20 } else { a.budget };
-    let mut opts = OocOptions::default();
-    if let Some((dir, every)) = a.checkpoint {
-        let mut spec = flashmob::CheckpointSpec::new(dir, if every == 0 { 8 } else { every });
-        if a.halt_after > 0 {
-            spec = spec.halt_after(a.halt_after);
+/// What one run hands to the reporting tail.
+struct RunReport {
+    walk_output: WalkOutput,
+    steps_taken: u64,
+    per_step_ns: f64,
+    visits: Option<Vec<u64>>,
+    stats: String,
+}
+
+/// Runs `walk` or `resume` on an in-memory graph (any engine) or an
+/// `FMDISK1` disk graph: first-order DeepWalk streams partitions;
+/// node2vec and PPR go through the triangular bi-block scheduler.
+/// `--fault-rate` injects seeded transient faults into every disk
+/// block read (absorbed by the retry layer and reported in
+/// stats/metrics); `--halt-after G` stops deliberately right after
+/// checkpoint generation `G` — the scripted crash-drill hook, a
+/// success, not an error.
+fn walk<W: Write>(out: &mut W, job: WalkArgs) -> Result<(), CmdError> {
+    let graph = if is_disk_graph(&job.graph) {
+        if job.engine != EngineChoice::FlashMob {
+            return Err(fail_plan("disk graphs run on --engine flashmob only"));
         }
-        opts = opts.checkpoint(spec);
-    } else if a.halt_after > 0 {
+        if job.labels > 0 {
+            return Err(fail_plan("disk graphs carry no edge labels"));
+        }
+        if job.threads > 1 {
+            return Err(fail_plan("out-of-core walking is single-threaded"));
+        }
+        Loaded::Disk(DiskGraph::open(&job.graph).map_err(fail_disk)?)
+    } else {
+        if job.oocore_budget > 0 || job.fault_rate > 0.0 || job.halt_after > 0 {
+            return Err(fail_plan(
+                "--oocore-budget/--fault-rate/--halt-after apply to FMDISK1 disk graphs only (create one with `fmwalk disk`)",
+            ));
+        }
+        Loaded::Memory(with_derived_labels(load_graph(&job.graph)?, job.labels)?)
+    };
+    let mut tel = make_telemetry(&job);
+    let checkpoint = match (&job.checkpoint_dir, job.checkpoint_every) {
+        (None, 0) => None,
+        (None, _) => {
+            return Err(fail_plan(
+                "--checkpoint-every requires --checkpoint-dir",
+            ))
+        }
+        (Some(dir), every) => {
+            if job.engine != EngineChoice::FlashMob {
+                return Err(fail_plan(
+                    "checkpointing requires --engine flashmob",
+                ));
+            }
+            let spec = CheckpointSpec::new(dir, if every == 0 { 8 } else { every });
+            Some(match job.halt_after {
+                0 => spec,
+                g => spec.halt_after(g),
+            })
+        }
+    };
+    if job.halt_after > 0 && checkpoint.is_none() {
         return Err(fail_plan("--halt-after requires --checkpoint-dir"));
     }
-    if a.fault_rate > 0.0 {
-        opts = opts.fault(FaultPolicy::transient(a.fault_seed, a.fault_rate));
+    let mut opts = RunOptions {
+        checkpoint,
+        resume_from: job.resume_from.clone(),
+        ..RunOptions::default()
+    };
+    if job.fault_rate > 0.0 {
+        opts = opts.fault(FaultPolicy::transient(job.fault_seed, job.fault_rate));
     }
-    if let Some(dir) = &a.resume_from {
-        opts = opts.resume_from(dir);
+
+    let (vertices, on_disk) = match &graph {
+        Loaded::Memory(g) => (g.vertex_count(), false),
+        Loaded::Disk(d) => (d.vertex_count(), true),
+    };
+    let algorithm = walk_algorithm(job.algo);
+    let n_walkers = job.walkers.resolve(vertices).max(1);
+    // Disk runs derive visit counts from the recorded paths.
+    let record_paths = job.output.is_some() || (on_disk && job.visits.is_some());
+    let mut cfg = WalkConfig::deepwalk()
+        .walkers(n_walkers)
+        .steps(job.steps)
+        .seed(job.seed)
+        .threads(job.threads)
+        .strategy(job.strategy)
+        .record_paths(record_paths)
+        .record_visits(job.visits.is_some());
+    if job.ring_depth > 0 {
+        cfg = cfg.ring_depth(job.ring_depth);
     }
-    let mut tel = make_telemetry(
-        a.trace.is_some() || a.metrics.is_some(),
-        a.progress,
-        a.show_stats,
-    );
-    let (o, stats) = match run_ooc_with(&disk, &cfg, budget, &opts, &mut tel) {
-        Ok(v) => v,
-        Err(flashmob::WalkError::Halted { generation })
-            if a.halt_after > 0 && generation == a.halt_after =>
-        {
+    cfg.algorithm = algorithm;
+
+    let ran = match (&graph, job.engine) {
+        (Loaded::Disk(d), _) => {
+            let budget = if job.oocore_budget == 0 { 64 << 20 } else { job.oocore_budget };
+            run_ooc_with(d, &cfg, budget, &opts, &mut tel).map(|(o, s)| RunReport {
+                visits: job.visits.is_some().then(|| o.visit_counts(d.vertex_count())),
+                walk_output: o,
+                steps_taken: s.steps_taken,
+                per_step_ns: s.per_step_ns(),
+                stats: ooc_summary(&s),
+            })
+        }
+        (Loaded::Memory(g), EngineChoice::FlashMob) => FlashMob::new(g, cfg).and_then(|e| {
+            let (o, s) = e.run_with(&opts, &mut tel)?;
+            Ok(RunReport {
+                walk_output: o,
+                steps_taken: s.steps_taken,
+                per_step_ns: s.per_step_ns(),
+                visits: s.visits_original(e.relabeling()),
+                stats: s.human_summary(),
+            })
+        }),
+        (Loaded::Memory(g), baseline) => {
+            let kind = if baseline == EngineChoice::KnightKing {
+                BaselineKind::KnightKing
+            } else {
+                BaselineKind::GraphVite
+            };
+            let cfg = BaselineConfig {
+                kind,
+                ..BaselineConfig::knightking_deepwalk()
+            }
+            .algorithm(algorithm)
+            .walkers(n_walkers)
+            .steps(job.steps)
+            .seed(job.seed)
+            .threads(job.threads)
+            .record_paths(job.output.is_some())
+            .record_visits(job.visits.is_some());
+            Baseline::new(g, cfg)
+                .and_then(|e| e.run_with(&mut tel))
+                .map(|(o, s)| RunReport {
+                    walk_output: o,
+                    steps_taken: s.steps_taken,
+                    per_step_ns: s.per_step_ns(),
+                    stats: s.human_summary(),
+                    visits: s.visits,
+                })
+        }
+    };
+    let ran = match ran {
+        Ok(r) => r,
+        Err(WalkError::Halted { generation }) if generation == job.halt_after => {
             writeln!(
                 out,
                 "halted deliberately after checkpoint generation {generation}"
@@ -1161,34 +982,10 @@ fn run_ooc_command<W: Write>(out: &mut W, a: OocRun) -> Result<(), CmdError> {
         }
         Err(e) => return Err(fail_walk(e)),
     };
-    if let Some(dir) = &a.resume_from {
+    if let Some(dir) = &job.resume_from {
         writeln!(out, "resumed from {}", dir.display()).map_err(fail)?;
     }
-    let per_step_ns = if stats.steps_taken > 0 {
-        stats.wall.as_nanos() as f64 / stats.steps_taken as f64
-    } else {
-        0.0
-    };
-    let visits_vec = a
-        .visits
-        .is_some()
-        .then(|| o.visit_counts(disk.vertex_count()));
-    let stats_report = a.show_stats.then(|| ooc_summary(&stats));
-    report_run(
-        out,
-        &tel,
-        RunReport {
-            walk_output: Some(o),
-            steps_taken: stats.steps_taken,
-            per_step_ns,
-            visits_vec,
-            stats_report,
-            output: a.output,
-            visits: a.visits,
-            trace: a.trace,
-            metrics: a.metrics,
-        },
-    )
+    report_run(out, &tel, &job, ran)
 }
 
 /// Human `--stats` block for an out-of-core run: streaming volume,
@@ -1221,13 +1018,22 @@ fn ooc_summary(s: &OocStats) -> String {
 /// Telemetry is recorded whenever any consumer asked for it; otherwise
 /// the recorder stays disabled and the engines take their untraced
 /// path.
-fn make_telemetry(exporting: bool, progress: bool, show_stats: bool) -> Telemetry {
-    let mut tel = if exporting || progress || show_stats {
+fn make_telemetry(job: &WalkArgs) -> Telemetry {
+    let exporting = job.trace.is_some() || job.metrics.is_some() || job.hw_counters;
+    let mut tel = if exporting || job.progress || job.stats {
         Telemetry::new()
     } else {
         Telemetry::off()
     };
-    if progress {
+    if job.hw_counters {
+        // Degradation is part of the contract: unprivileged or PMU-less
+        // hosts get a notice on stderr and an otherwise bit-identical
+        // run.
+        if let Err(reason) = tel.enable_hw_counters() {
+            eprintln!("[fmwalk] {reason}; continuing without");
+        }
+    }
+    if job.progress {
         // Live throughput from the step counters, plus an ETA scaled
         // from the per-generation pace so far (unknowable before the
         // first generation completes).
@@ -1256,22 +1062,14 @@ fn make_telemetry(exporting: bool, progress: bool, show_stats: bool) -> Telemetr
     tel
 }
 
-/// Everything the `walk`/`resume` reporting tail needs.
-struct RunReport {
-    walk_output: Option<WalkOutput>,
-    steps_taken: u64,
-    per_step_ns: f64,
-    visits_vec: Option<Vec<u64>>,
-    stats_report: Option<String>,
-    output: Option<std::path::PathBuf>,
-    visits: Option<std::path::PathBuf>,
-    trace: Option<std::path::PathBuf>,
-    metrics: Option<std::path::PathBuf>,
-}
-
 /// Prints the run summary and writes the requested artifact files
 /// (shared by `walk` and `resume`).
-fn report_run<W: Write>(out: &mut W, tel: &Telemetry, r: RunReport) -> Result<(), CmdError> {
+fn report_run<W: Write>(
+    out: &mut W,
+    tel: &Telemetry,
+    job: &WalkArgs,
+    r: RunReport,
+) -> Result<(), CmdError> {
     writeln!(
         out,
         "walked {} walker-steps at {:.1} ns/step",
@@ -1299,37 +1097,37 @@ fn report_run<W: Write>(out: &mut W, tel: &Telemetry, r: RunReport) -> Result<()
         )
         .map_err(fail)?;
     }
-    if let Some(report) = r.stats_report {
-        write!(out, "{report}").map_err(fail)?;
+    if job.stats {
+        write!(out, "{}", r.stats).map_err(fail)?;
         if tel.is_on() {
             write!(out, "{}", export::human_summary(tel)).map_err(fail)?;
         }
     }
-    if let Some(path) = r.trace {
-        let f = std::fs::File::create(&path).map_err(fail_io)?;
+    if let Some(path) = &job.trace {
+        let f = std::fs::File::create(path).map_err(fail_io)?;
         let mut w = std::io::BufWriter::new(f);
         export::write_chrome_trace(&mut w, tel).map_err(fail_io)?;
         w.flush().map_err(fail_io)?;
         writeln!(out, "trace written to {}", path.display()).map_err(fail)?;
     }
-    if let Some(path) = r.metrics {
-        let f = std::fs::File::create(&path).map_err(fail_io)?;
+    if let Some(path) = &job.metrics {
+        let f = std::fs::File::create(path).map_err(fail_io)?;
         let mut w = std::io::BufWriter::new(f);
         export::write_metrics_jsonl(&mut w, tel).map_err(fail_io)?;
         w.flush().map_err(fail_io)?;
         writeln!(out, "metrics written to {}", path.display()).map_err(fail)?;
     }
-    if let (Some(path), Some(o)) = (r.output, r.walk_output.as_ref()) {
-        let mut f = std::fs::File::create(&path).map_err(fail_io)?;
+    if let Some(path) = &job.output {
+        let mut f = std::fs::File::create(path).map_err(fail_io)?;
         let mut buffered = std::io::BufWriter::new(&mut f);
-        for walk in o.paths() {
+        for walk in r.walk_output.paths() {
             let line: Vec<String> = walk.iter().map(|v| v.to_string()).collect();
             writeln!(buffered, "{}", line.join(" ")).map_err(fail_io)?;
         }
         writeln!(out, "paths written to {}", path.display()).map_err(fail)?;
     }
-    if let (Some(path), Some(v)) = (r.visits, r.visits_vec) {
-        let mut f = std::fs::File::create(&path).map_err(fail_io)?;
+    if let (Some(path), Some(v)) = (&job.visits, r.visits) {
+        let mut f = std::fs::File::create(path).map_err(fail_io)?;
         let mut buffered = std::io::BufWriter::new(&mut f);
         for (vertex, count) in v.iter().enumerate() {
             writeln!(buffered, "{vertex} {count}").map_err(fail_io)?;
@@ -1362,6 +1160,18 @@ mod tests {
         let dir = std::env::temp_dir().join("fmwalk_cmd_tests");
         std::fs::create_dir_all(&dir).expect("temp dir");
         dir.join(name)
+    }
+
+    /// Plan spans in a Chrome trace written by `--trace`.
+    fn plan_spans(trace: &Path) -> usize {
+        let text = std::fs::read_to_string(trace).unwrap();
+        let v = fm_telemetry::json::parse(&text).expect("trace is JSON");
+        v.get("traceEvents")
+            .and_then(fm_telemetry::json::Value::as_arr)
+            .expect("traceEvents array")
+            .iter()
+            .filter(|e| e.get("name").and_then(fm_telemetry::json::Value::as_str) == Some("plan"))
+            .count()
     }
 
     fn exec(line: &str) -> Result<String, CmdError> {
@@ -1576,7 +1386,17 @@ mod tests {
         .unwrap_err();
         assert!(err.0.contains("--engine flashmob"), "{}", err.0);
         assert_eq!(err.1, ExitKind::Plan);
+        // Disk graphs validate the checkpoint flags the same way.
+        let fmdisk = tmp("plan_err.fmdisk");
+        exec(&format!("disk {} {}", bin.display(), fmdisk.display())).unwrap();
+        let err = exec(&format!("walk {} --checkpoint-every 4", fmdisk.display())).unwrap_err();
+        assert!(err.0.contains("--checkpoint-dir"), "{}", err.0);
+        assert_eq!(err.1, ExitKind::Plan);
+        let err = exec(&format!("walk {} --halt-after 1", fmdisk.display())).unwrap_err();
+        assert!(err.0.contains("--checkpoint-dir"), "{}", err.0);
+        assert_eq!(err.1, ExitKind::Plan);
         std::fs::remove_file(bin).ok();
+        std::fs::remove_file(fmdisk).ok();
     }
 
     #[test]
@@ -1685,32 +1505,41 @@ mod tests {
         let dir = tmp("ckpt_walk_dir");
         let full = tmp("ckpt_full.txt");
         let resumed = tmp("ckpt_resumed.txt");
+        let trace = tmp("ckpt_trace.json");
         std::fs::remove_dir_all(&dir).ok();
         exec(&format!("synth ring {} --n 64 --degree 4", bin.display())).unwrap();
         let walk_flags = "--steps 6 --walkers 32 --seed 11";
+        // Every traced run records the plan it ran under, checkpointed
+        // or resumed alike.
+        let want_plan_spans = if cfg!(feature = "telemetry-off") { 0 } else { 1 };
 
         // Checkpointed run completes and leaves snapshots behind.
         let msg = exec(&format!(
-            "walk {} {walk_flags} --output {} --checkpoint-dir {} --checkpoint-every 2",
+            "walk {} {walk_flags} --output {} --checkpoint-dir {} --checkpoint-every 2 \
+             --trace {}",
             bin.display(),
             full.display(),
-            dir.display()
+            dir.display(),
+            trace.display()
         ))
         .unwrap();
         assert!(msg.contains("ns/step"), "{msg}");
         assert!(dir.join("MANIFEST").is_file());
+        assert_eq!(plan_spans(&trace), want_plan_spans, "checkpointed walk");
 
         // Resuming from the final checkpoint reproduces the paths file
         // bit for bit (here the walk is already complete, so resume
         // executes zero iterations — the hardest edge case).
         let msg = exec(&format!(
-            "resume {} {} {walk_flags} --output {}",
+            "resume {} {} {walk_flags} --output {} --trace {}",
             bin.display(),
             dir.display(),
-            resumed.display()
+            resumed.display(),
+            trace.display()
         ))
         .unwrap();
         assert!(msg.contains("resumed from"), "{msg}");
+        assert_eq!(plan_spans(&trace), want_plan_spans, "resumed walk");
         let a = std::fs::read(&full).unwrap();
         let b = std::fs::read(&resumed).unwrap();
         assert!(!a.is_empty() && a == b);
@@ -1764,6 +1593,7 @@ mod tests {
         std::fs::remove_file(bin).ok();
         std::fs::remove_file(full).ok();
         std::fs::remove_file(resumed).ok();
+        std::fs::remove_file(trace).ok();
         std::fs::remove_dir_all(dir).ok();
         std::fs::remove_dir_all(empty).ok();
     }
@@ -1842,6 +1672,48 @@ mod tests {
         ))
         .unwrap_err();
         assert_eq!(err.1, ExitKind::Plan, "{}", err.0);
+
+        // Each engine refuses the others' snapshots (exit 4), even when
+        // walkers, steps and seed agree: an in-memory checkpoint on the
+        // disk graph, a streaming DeepWalk checkpoint resumed by the
+        // bi-block scheduler, and a disk checkpoint in memory.
+        let mem_dir = tmp("ooc_cross_mem");
+        let disk_dir = tmp("ooc_cross_disk");
+        std::fs::remove_dir_all(&mem_dir).ok();
+        std::fs::remove_dir_all(&disk_dir).ok();
+        let first_order = "--walkers 200 --steps 6 --seed 9";
+        for (graph, dir) in [(&bin, &mem_dir), (&fmdisk, &disk_dir)] {
+            exec(&format!(
+                "walk {} {first_order} --checkpoint-dir {} --checkpoint-every 2",
+                graph.display(),
+                dir.display()
+            ))
+            .unwrap();
+        }
+        for (graph, dir, algo) in [
+            (&fmdisk, &mem_dir, ""),
+            (&fmdisk, &disk_dir, "--algo node2vec --p 0.25 --q 4.0"),
+            (&bin, &disk_dir, ""),
+        ] {
+            let err = exec(&format!(
+                "resume {} {} {first_order} {algo}",
+                graph.display(),
+                dir.display()
+            ))
+            .unwrap_err();
+            let case = format!("{} from {}", graph.display(), dir.display());
+            assert_eq!(err.1, ExitKind::Plan, "{case}: {}", err.0);
+            assert!(err.0.contains("snapshot"), "{}", err.0);
+        }
+        std::fs::remove_dir_all(mem_dir).ok();
+        std::fs::remove_dir_all(disk_dir).ok();
+
+        // Disk graphs set up hardware counters like in-memory graphs:
+        // attached where the host allows it, degraded with a notice
+        // (exit 0) where it does not.
+        let hw_available = Telemetry::new().enable_hw_counters().is_ok();
+        let msg = exec(&format!("walk {} {walk_flags} --hw-counters", fmdisk.display())).unwrap();
+        assert_eq!(msg.contains("hw: "), hw_available, "{msg}");
 
         // Persistent faults exhaust the retry budget: IO class (exit 2).
         let err = exec(&format!(

@@ -30,8 +30,9 @@ use std::path::PathBuf;
 use fm_graph::{Csr, VertexId};
 use flashmob::{
     load_latest,
-    oocore::{run_ooc_with, DiskGraph, OocOptions},
-    CheckpointSpec, FaultPolicy, FlashMob, PlanStrategy, WalkAlgorithm, WalkConfig, WalkError,
+    oocore::{run_ooc_with, DiskGraph},
+    CheckpointSpec, FaultPolicy, FlashMob, PlanStrategy, RunOptions, WalkAlgorithm, WalkConfig,
+    WalkError,
 };
 use fm_telemetry::Telemetry;
 
@@ -208,7 +209,8 @@ fn crash_flashmob_cell(
         let dir = crash_dir(&format!("{}-{algo}", engine.label()), threads, k);
         std::fs::remove_dir_all(&dir).ok();
         let spec = CheckpointSpec::new(&dir, CRASH_EVERY).halt_after(k);
-        match fm.run_with_checkpoints(&spec) {
+        let opts = RunOptions::default().checkpoint(spec);
+        match fm.run_with(&opts, &mut Telemetry::off()) {
             Err(WalkError::Halted { generation }) if generation == k => {}
             Err(e) => fail(&mut case, format!("expected halt at generation {k}, got {e}")),
             Ok(_) => fail(
@@ -217,7 +219,7 @@ fn crash_flashmob_cell(
             ),
         }
         if case.ok {
-            match fm.resume(&dir) {
+            match fm.run_with(&RunOptions::default().resume_from(&dir), &mut Telemetry::off()) {
                 Ok((output, _)) => {
                     let got = digest_output(&output.paths(), &extra);
                     if got != reference {
@@ -308,7 +310,7 @@ fn crash_oocore_cell(
         &disk,
         config,
         budget,
-        &OocOptions::default(),
+        &RunOptions::default(),
         &mut Telemetry::off(),
     ) {
         Ok((output, _)) => digest_output(&output.paths(), &[]),
@@ -343,7 +345,7 @@ fn crash_oocore_cell(
             &disk,
             config,
             budget,
-            &OocOptions::default().fault(fault),
+            &RunOptions::default().fault(fault),
             &mut Telemetry::off(),
         ) {
             Ok((output, stats)) => {
@@ -373,7 +375,7 @@ fn crash_oocore_cell(
         &disk,
         config,
         budget,
-        &OocOptions::default().checkpoint(CheckpointSpec::new(&discover_dir, CRASH_EVERY)),
+        &RunOptions::default().checkpoint(CheckpointSpec::new(&discover_dir, CRASH_EVERY)),
         &mut Telemetry::off(),
     )
     .map_err(|e| format!("checkpointed run failed: {e}"))
@@ -408,7 +410,7 @@ fn crash_oocore_cell(
             &disk,
             config,
             budget,
-            &OocOptions::default().checkpoint(spec).fault(fault),
+            &RunOptions::default().checkpoint(spec).fault(fault),
             &mut Telemetry::off(),
         );
         match kill {
@@ -424,7 +426,7 @@ fn crash_oocore_cell(
                 &disk,
                 config,
                 budget,
-                &OocOptions::default().resume_from(&dir).fault(fault),
+                &RunOptions::default().resume_from(&dir).fault(fault),
                 &mut Telemetry::off(),
             );
             match resumed {

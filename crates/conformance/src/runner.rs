@@ -354,7 +354,8 @@ fn run_cell_data(
                 NumaMode::Replicated
             };
             let base = flashmob_config(algo, threads);
-            let outputs = run_numa_paths(graph, base, mode, LATTICE_SOCKETS).map_err(err)?;
+            let outputs = run_numa_paths(graph, base, mode, LATTICE_SOCKETS, &mut Telemetry::off())
+                .map_err(err)?;
             let mut paths = Vec::with_capacity(LATTICE_WALKERS);
             for o in &outputs {
                 paths.extend(o.paths());

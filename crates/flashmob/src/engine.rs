@@ -1,15 +1,11 @@
 //! The FlashMob execution engine: plan, then iterate shuffle → sample.
 
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 use fm_graph::relabel::{sort_by_degree, Relabeling};
 use fm_graph::{Csr, VertexId};
 use fm_memsim::{AddressSpace, NullProbe, Probe};
-use fm_recover::{
-    load_latest, CheckpointSink, CheckpointSpec, Fingerprint, PsPartState, RecoverError,
-    WalkSnapshot,
-};
+use fm_recover::{load_latest, CheckpointSink, PsPartState, RecoverError, WalkSnapshot};
 use fm_rng::{split_stream, Rng64, Xorshift64Star};
 use fm_telemetry::{json, SpanEvent, Stage, Telemetry, NO_PARTITION, NO_STEP};
 
@@ -18,12 +14,13 @@ use crate::output::WalkOutput;
 use crate::partition::SamplePolicy;
 use crate::plan::{Plan, Planner};
 use crate::pool::{DisjointSlice, PoolStats, WorkerPool};
+use crate::run::{check_snapshot, config_fingerprint, graph_fingerprint, mismatch, EngineKind};
 use crate::sample::{
     apply_exit, node2vec_weight, propose, sample_partition, AddrMap, AlgoCtx, PsBuffers, TaskIo,
 };
 use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
 use crate::walker::{initialize, WalkerInit};
-use crate::{WalkConfig, WalkError, DEAD};
+use crate::{RunOptions, WalkConfig, WalkError, DEAD};
 
 /// Wall-clock time attributed to each pipeline stage (Figure 9a).
 #[derive(Debug, Clone, Copy, Default)]
@@ -225,7 +222,7 @@ pub struct FlashMob {
     /// planner's per-partition auto choice (ring on only for
     /// LLC-exceeding working sets).  Purely a performance knob: the
     /// walk output is bit-identical at every depth, so it is *not*
-    /// part of `config_tag` and checkpoints resume across depths.
+    /// part of the config fingerprint and checkpoints resume across depths.
     ring_depths: Vec<usize>,
     /// Wall-clock time spent in pre-processing (relabel + planning),
     /// attributed to the Plan stage of traced runs.
@@ -461,20 +458,58 @@ impl FlashMob {
 
     /// Runs the walk, returning output and execution statistics.
     pub fn run_with_stats(&self) -> Result<(WalkOutput, RunStats), WalkError> {
-        let mut probe = NullProbe;
-        self.run_internal(&mut probe, true)
+        self.run_with(&RunOptions::default(), &mut Telemetry::off())
     }
 
-    /// Runs the walk while recording telemetry into `tel`: a Plan span
-    /// for the pre-processing done at construction, Shuffle/Sample/
-    /// Output spans for every step (plus per-partition worker-lane
-    /// sample spans on parallel runs), and per-partition counters whose
-    /// step totals match [`RunStats::steps_taken`] exactly.
+    /// Runs the walk under `opts`, recording telemetry into `tel`.
     ///
-    /// Telemetry recording never touches the sampled chain: RNG streams
-    /// are derived exactly as in [`FlashMob::run`], so traced output is
-    /// bit-identical to untraced output.
-    pub fn run_traced(&self, tel: &mut Telemetry) -> Result<(WalkOutput, RunStats), WalkError> {
+    /// Traced runs record a Plan span for the pre-processing done at
+    /// construction, Shuffle/Sample/Output spans for every step (plus
+    /// per-partition worker-lane sample spans on parallel runs),
+    /// Checkpoint and Recovery spans, and per-partition counters whose
+    /// step totals match [`RunStats::steps_taken`] exactly.  Telemetry
+    /// never touches the sampled chain: traced output is bit-identical
+    /// to untraced output.
+    ///
+    /// With `opts.checkpoint` a crash-consistent snapshot is published
+    /// every `every` iterations (write-to-temp → fsync → rename), so a
+    /// crash at any instant leaves either the previous generation or
+    /// the new one — never a torn state.
+    ///
+    /// With `opts.resume_from` the run continues from the latest
+    /// checkpoint in that directory.  The engine must be built over the
+    /// same graph with the same configuration as the interrupted run
+    /// (thread count may differ — runs are bit-identical across thread
+    /// counts); mismatches are rejected with
+    /// [`fm_recover::RecoverError::Mismatch`].  Checkpoint generations
+    /// continue from the interrupted run, and the final output is
+    /// bit-identical to the uninterrupted run's.
+    ///
+    /// `opts.fault` and `opts.retry` govern disk-graph reads; an
+    /// in-memory run has none.
+    pub fn run_with(
+        &self,
+        opts: &RunOptions,
+        tel: &mut Telemetry,
+    ) -> Result<(WalkOutput, RunStats), WalkError> {
+        self.run_inner(&mut NullProbe, true, opts, tel)
+    }
+
+    /// Runs the walk while feeding every memory access into `probe`.
+    ///
+    /// Instrumented runs execute the partitions sequentially regardless
+    /// of the configured thread count, so counter attribution is exact.
+    pub fn run_probed<P: Probe>(&self, probe: &mut P) -> Result<(WalkOutput, RunStats), WalkError> {
+        self.run_inner(probe, false, &RunOptions::default(), &mut Telemetry::off())
+    }
+
+    fn run_inner<P: Probe>(
+        &self,
+        probe: &mut P,
+        allow_parallel: bool,
+        opts: &RunOptions,
+        tel: &mut Telemetry,
+    ) -> Result<(WalkOutput, RunStats), WalkError> {
         if tel.is_on() {
             tel.ensure_partitions(self.plan.partitions.len());
             let start_ns = tel.now_ns();
@@ -487,334 +522,6 @@ impl FlashMob {
                 partition: NO_PARTITION,
             });
         }
-        let mut probe = NullProbe;
-        self.run_internal_seeded(&mut probe, true, self.config.seed, tel)
-    }
-
-    /// Runs the walk, writing a crash-consistent checkpoint into
-    /// `spec.dir` every `spec.every` iterations (see [`CheckpointSpec`]).
-    ///
-    /// Checkpoints are published atomically (write-to-temp → fsync →
-    /// rename), so a crash at any instant leaves either the previous
-    /// generation or the new one — never a torn state.
-    pub fn run_with_checkpoints(
-        &self,
-        spec: &CheckpointSpec,
-    ) -> Result<(WalkOutput, RunStats), WalkError> {
-        let mut probe = NullProbe;
-        self.run_internal_ckpt(
-            &mut probe,
-            true,
-            self.config.seed,
-            &mut Telemetry::off(),
-            Some(spec),
-            None,
-        )
-    }
-
-    /// [`FlashMob::run_with_checkpoints`] with telemetry recording:
-    /// checkpoint writes appear as `Checkpoint` spans and transient IO
-    /// retries are counted.
-    pub fn run_with_checkpoints_traced(
-        &self,
-        spec: &CheckpointSpec,
-        tel: &mut Telemetry,
-    ) -> Result<(WalkOutput, RunStats), WalkError> {
-        let mut probe = NullProbe;
-        self.run_internal_ckpt(&mut probe, true, self.config.seed, tel, Some(spec), None)
-    }
-
-    /// Resumes from the latest checkpoint in `dir` and runs to
-    /// completion without writing further checkpoints.
-    ///
-    /// The engine must be constructed over the same graph with the same
-    /// configuration as the interrupted run (thread count may differ —
-    /// runs are bit-identical across thread counts); mismatches are
-    /// rejected with [`fm_recover::RecoverError::Mismatch`].  The final
-    /// output is bit-identical to the uninterrupted run's.
-    pub fn resume(&self, dir: impl AsRef<Path>) -> Result<(WalkOutput, RunStats), WalkError> {
-        self.resume_with(dir, None, &mut Telemetry::off())
-    }
-
-    /// Resumes from the latest checkpoint in `dir`; with `spec` the
-    /// resumed run keeps checkpointing (generation numbers continue
-    /// from the interrupted run — they derive from the absolute
-    /// iteration, not from time since resume).
-    pub fn resume_with(
-        &self,
-        dir: impl AsRef<Path>,
-        spec: Option<&CheckpointSpec>,
-        tel: &mut Telemetry,
-    ) -> Result<(WalkOutput, RunStats), WalkError> {
-        let span = tel.is_on().then(|| tel.now_ns());
-        let (_generation, snap) = load_latest(dir.as_ref())?;
-        if let Some(s) = span {
-            tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
-        }
-        let mut probe = NullProbe;
-        self.run_internal_ckpt(&mut probe, true, self.config.seed, tel, spec, Some(snap))
-    }
-
-    /// Fingerprint of everything that determines the sampled chain.
-    ///
-    /// Snapshots carry this tag and `resume` verifies it: resuming under
-    /// a different algorithm, stop rule, seed, or plan would silently
-    /// produce garbage.  Thread count is deliberately excluded — runs
-    /// are bit-identical across thread counts, so a checkpoint written
-    /// at 8 threads resumes correctly at 1 (and vice versa).
-    fn config_tag(&self) -> u64 {
-        let c = &self.config;
-        let mut fp = Fingerprint::new();
-        match c.algorithm {
-            crate::WalkAlgorithm::DeepWalk => {
-                fp.fold_u64(1);
-            }
-            crate::WalkAlgorithm::Weighted => {
-                fp.fold_u64(2);
-            }
-            crate::WalkAlgorithm::Node2Vec { p, q } => {
-                fp.fold_u64(3).fold_u64(p.to_bits()).fold_u64(q.to_bits());
-            }
-            crate::WalkAlgorithm::Ppr { alpha } => {
-                fp.fold_u64(4).fold_u64(alpha.to_bits());
-            }
-            crate::WalkAlgorithm::EarlyExit => {
-                fp.fold_u64(5);
-            }
-            crate::WalkAlgorithm::Metapath { pattern } => {
-                fp.fold_u64(6).fold_u64(pattern.len() as u64);
-                for &l in pattern.labels() {
-                    fp.fold_u64(l as u64);
-                }
-            }
-        }
-        match c.stop {
-            crate::StopRule::FixedSteps(n) => {
-                fp.fold_u64(1).fold_u64(n as u64);
-            }
-            crate::StopRule::Geometric {
-                exit_prob,
-                max_steps,
-            } => {
-                fp.fold_u64(2)
-                    .fold_u64(exit_prob.to_bits())
-                    .fold_u64(max_steps as u64);
-            }
-        }
-        match &c.init {
-            WalkerInit::UniformVertex => {
-                fp.fold_u64(1);
-            }
-            WalkerInit::UniformEdge => {
-                fp.fold_u64(2);
-            }
-            WalkerInit::EveryVertex => {
-                fp.fold_u64(3);
-            }
-            WalkerInit::Fixed(starts) => {
-                fp.fold_u64(4).fold_u64(starts.len() as u64);
-                for &s in starts {
-                    fp.fold_u64(s as u64);
-                }
-            }
-        }
-        fp.fold_u64(c.walkers as u64)
-            .fold_u64(c.seed)
-            .fold_u64(c.record_paths as u64)
-            .fold_u64(c.record_visits as u64)
-            .fold_u64(match c.strategy {
-                crate::PlanStrategy::DynamicProgramming => 1,
-                crate::PlanStrategy::UniformPs => 2,
-                crate::PlanStrategy::UniformDs => 3,
-                crate::PlanStrategy::ManualHeuristic => 4,
-            })
-            .fold_u64(c.planner.target_groups as u64)
-            .fold_u64(c.planner.max_partitions as u64)
-            .fold_u64(c.planner.min_vp_vertices as u64);
-        fp.value()
-    }
-
-    /// Fingerprint of the sorted internal graph (shape, not weights:
-    /// the offsets pin the degree sequence, which pins the relabeling).
-    fn graph_tag(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.fold_u64(self.graph.vertex_count() as u64)
-            .fold_u64(self.graph.edge_count() as u64);
-        for &o in self.graph.offsets() {
-            fp.fold_u64(o as u64);
-        }
-        fp.value()
-    }
-
-    /// Rejects snapshots that do not belong to this engine + seed.
-    fn validate_snapshot(
-        &self,
-        snap: &WalkSnapshot,
-        seed: u64,
-        steps: usize,
-    ) -> Result<(), WalkError> {
-        let mismatch =
-            |detail: String| WalkError::Recover(RecoverError::Mismatch { detail });
-        if snap.config_tag != self.config_tag() {
-            return Err(mismatch(
-                "snapshot was written under a different walk configuration".into(),
-            ));
-        }
-        if snap.graph_tag != self.graph_tag() {
-            return Err(mismatch(
-                "snapshot was written against a different graph".into(),
-            ));
-        }
-        if snap.seed != seed {
-            return Err(mismatch(format!(
-                "snapshot seed {} does not match run seed {seed}",
-                snap.seed
-            )));
-        }
-        let walkers = self.config.walkers;
-        if snap.walkers as usize != walkers || snap.w.len() != walkers {
-            return Err(mismatch(format!(
-                "snapshot has {} walkers, engine has {walkers}",
-                snap.walkers
-            )));
-        }
-        if snap.steps_total as usize != steps || snap.iter_next as usize > steps {
-            return Err(mismatch(format!(
-                "snapshot iteration {}/{} does not fit a {steps}-step run",
-                snap.iter_next, snap.steps_total
-            )));
-        }
-        let carries_aux =
-            self.config.algorithm.is_second_order() || self.config.algorithm.is_stateful();
-        if carries_aux && snap.prev.len() != walkers {
-            return Err(mismatch(
-                "snapshot is missing per-walker auxiliary state (prev/origin)".into(),
-            ));
-        }
-        if self.config.record_visits && snap.visits.len() != self.graph.vertex_count() {
-            return Err(mismatch(
-                "snapshot visit counters do not match the graph".into(),
-            ));
-        }
-        let parts = self.plan.partitions.len();
-        if snap.per_partition_steps.len() != parts || snap.ps.len() != parts {
-            return Err(mismatch(format!(
-                "snapshot has {} partitions, plan has {parts}",
-                snap.ps.len()
-            )));
-        }
-        if self.config.record_paths
-            && (snap.rows.len() != snap.iter_next as usize + 1
-                || snap.rows.iter().any(|r| r.len() != walkers))
-        {
-            return Err(mismatch("snapshot path rows are inconsistent".into()));
-        }
-        Ok(())
-    }
-
-    /// Runs enough episodes of `config.walkers` walkers each to cover at
-    /// least `total_walkers`, streaming each episode's output to `sink`.
-    ///
-    /// This is the paper's workload structure: "10 episodes, each with
-    /// |V| walkers walking 80 steps", where the per-episode walker count
-    /// is bounded by DRAM capacity rather than the total.  Episode `i`
-    /// derives its seed from the configured seed, so the whole sequence
-    /// is deterministic.  Returns aggregated statistics.
-    pub fn run_episodes<F>(&self, total_walkers: usize, mut sink: F) -> Result<RunStats, WalkError>
-    where
-        F: FnMut(usize, WalkOutput),
-    {
-        if total_walkers == 0 {
-            return Err(WalkError::NoWalkers);
-        }
-        let per_episode = self.config.walkers;
-        let episodes = total_walkers.div_ceil(per_episode);
-        let mut agg = RunStats {
-            per_partition_steps: vec![0; self.plan.partitions.len()],
-            per_partition_prefetches: vec![0; self.plan.partitions.len()],
-            visits_sorted: self
-                .config
-                .record_visits
-                .then(|| vec![0; self.graph.vertex_count()]),
-            ..RunStats::default()
-        };
-        for e in 0..episodes {
-            let mut probe = NullProbe;
-            let (out, stats) = self.run_internal_seeded(
-                &mut probe,
-                true,
-                self.config.seed.wrapping_add(0x9E37 * e as u64 + e as u64),
-                &mut Telemetry::off(),
-            )?;
-            agg.walkers += stats.walkers;
-            agg.steps_taken += stats.steps_taken;
-            agg.wall += stats.wall;
-            agg.stages.sample += stats.stages.sample;
-            agg.stages.shuffle += stats.stages.shuffle;
-            agg.stages.other += stats.stages.other;
-            agg.pool.spawned += stats.pool.spawned;
-            agg.pool.epochs += stats.pool.epochs;
-            agg.pool.idle += stats.pool.idle;
-            for (a, b) in agg
-                .per_partition_steps
-                .iter_mut()
-                .zip(&stats.per_partition_steps)
-            {
-                *a += b;
-            }
-            for (a, b) in agg
-                .per_partition_prefetches
-                .iter_mut()
-                .zip(&stats.per_partition_prefetches)
-            {
-                *a += b;
-            }
-            if let (Some(av), Some(bv)) = (agg.visits_sorted.as_mut(), stats.visits_sorted.as_ref())
-            {
-                for (a, b) in av.iter_mut().zip(bv) {
-                    *a += b;
-                }
-            }
-            sink(e, out);
-        }
-        Ok(agg)
-    }
-
-    /// Runs the walk while feeding every memory access into `probe`.
-    ///
-    /// Instrumented runs execute the partitions sequentially regardless
-    /// of the configured thread count, so counter attribution is exact.
-    pub fn run_probed<P: Probe>(&self, probe: &mut P) -> Result<(WalkOutput, RunStats), WalkError> {
-        self.run_internal(probe, false)
-    }
-
-    fn run_internal<P: Probe>(
-        &self,
-        probe: &mut P,
-        allow_parallel: bool,
-    ) -> Result<(WalkOutput, RunStats), WalkError> {
-        self.run_internal_seeded(probe, allow_parallel, self.config.seed, &mut Telemetry::off())
-    }
-
-    fn run_internal_seeded<P: Probe>(
-        &self,
-        probe: &mut P,
-        allow_parallel: bool,
-        seed: u64,
-        tel: &mut Telemetry,
-    ) -> Result<(WalkOutput, RunStats), WalkError> {
-        self.run_internal_ckpt(probe, allow_parallel, seed, tel, None, None)
-    }
-
-    fn run_internal_ckpt<P: Probe>(
-        &self,
-        probe: &mut P,
-        allow_parallel: bool,
-        seed: u64,
-        tel: &mut Telemetry,
-        ckpt: Option<&CheckpointSpec>,
-        resume: Option<WalkSnapshot>,
-    ) -> Result<(WalkOutput, RunStats), WalkError> {
         let wall_start = Instant::now();
         let walkers = self.config.walkers;
         let second_order = self.config.algorithm.is_second_order();
@@ -825,6 +532,8 @@ impl FlashMob {
         let stateful = self.config.algorithm.is_stateful();
         let carries_aux = second_order || stateful;
         let steps = self.config.max_steps();
+        let seed = self.config.seed;
+        let ckpt = opts.checkpoint.as_ref();
 
         // Walker initialization (in the sorted ID space; fixed starts are
         // translated from original IDs).
@@ -876,17 +585,19 @@ impl FlashMob {
         }
 
         // A checkpoint sink, when checkpointing is on; the tags pin the
-        // snapshot to this engine + graph so `resume` can verify them.
+        // snapshot to this engine + graph so a resume can verify them.
         // The sink shuttles between `sink` (idle) and `pending` (owned
         // by a background write of the previous generation).
-        let mut sink = match ckpt {
-            Some(ck) if ck.every > 0 => Some(CheckpointSink::from_spec(ck)),
-            _ => None,
-        };
+        let mut sink = ckpt
+            .filter(|ck| ck.every > 0)
+            .map(CheckpointSink::from_spec);
         let checkpointing = sink.is_some();
         let mut pending: Option<CheckpointHandle> = None;
-        let (config_tag, graph_tag) = if checkpointing {
-            (self.config_tag(), self.graph_tag())
+        let (config_fp, graph_fp) = if checkpointing || opts.resume_from.is_some() {
+            (
+                config_fingerprint(&self.config, EngineKind::InMemory),
+                graph_fingerprint(self.graph.offsets()),
+            )
         } else {
             (0, 0)
         };
@@ -896,9 +607,25 @@ impl FlashMob {
         // deterministic from graph + config and was rebuilt identically.
         let mut start_iter = 0usize;
         let mut resumed_steps = 0u64;
-        if let Some(snap) = resume {
+        if let Some(dir) = opts.resume_from.as_ref() {
             let span = tel.is_on().then(|| tel.now_ns());
-            self.validate_snapshot(&snap, seed, steps)?;
+            let (_generation, snap) = load_latest(dir)?;
+            check_snapshot(&snap, &self.config, config_fp, graph_fp)?;
+            if carries_aux && snap.prev.len() != walkers {
+                return Err(mismatch(
+                    "snapshot is missing per-walker auxiliary state (prev/origin)",
+                ));
+            }
+            if self.config.record_visits && snap.visits.len() != self.graph.vertex_count() {
+                return Err(mismatch("snapshot visit counters do not match the graph"));
+            }
+            let parts = self.plan.partitions.len();
+            if snap.per_partition_steps.len() != parts || snap.ps.len() != parts {
+                return Err(mismatch(format!(
+                    "snapshot has {} partitions, plan has {parts}",
+                    snap.ps.len()
+                )));
+            }
             w = snap.w;
             if carries_aux {
                 prev = snap.prev;
@@ -914,20 +641,16 @@ impl FlashMob {
                 match (pb.as_mut(), state) {
                     (Some(b), Some(s)) => {
                         if !b.import(s.buf, s.cursor) {
-                            return Err(RecoverError::Mismatch {
-                                detail: "pre-sample buffer shapes do not match the plan"
-                                    .into(),
-                            }
-                            .into());
+                            return Err(mismatch(
+                                "pre-sample buffer shapes do not match the plan",
+                            ));
                         }
                     }
                     (None, None) => {}
                     _ => {
-                        return Err(RecoverError::Mismatch {
-                            detail: "pre-sample partition layout does not match the plan"
-                                .into(),
-                        }
-                        .into());
+                        return Err(mismatch(
+                            "pre-sample partition layout does not match the plan",
+                        ))
                     }
                 }
             }
@@ -1185,8 +908,8 @@ impl FlashMob {
                         steps_total: steps as u64,
                         walkers: walkers as u64,
                         steps_taken,
-                        config_tag,
-                        graph_tag,
+                        config_fingerprint: config_fp,
+                        graph_fingerprint: graph_fp,
                         per_partition_steps: per_partition_steps.clone(),
                         w: w.clone(),
                         prev: prev.clone(),
@@ -2182,44 +1905,6 @@ mod tests {
     }
 
     #[test]
-    fn episodes_cover_requested_walkers_deterministically() {
-        let g = synth::power_law(300, 2.0, 1, 30, 2);
-        let engine = FlashMob::new(&g, config(100, 4).record_visits(true)).unwrap();
-        let mut outputs = Vec::new();
-        let stats = engine
-            .run_episodes(250, |e, out| outputs.push((e, out.paths())))
-            .unwrap();
-        // 250 walkers at 100/episode -> 3 episodes of 100.
-        assert_eq!(outputs.len(), 3);
-        assert_eq!(stats.walkers, 300);
-        assert_eq!(stats.steps_taken, 300 * 4);
-        assert_eq!(
-            stats.per_partition_steps.iter().sum::<u64>(),
-            stats.steps_taken
-        );
-        // Episodes use distinct seeds but are individually reproducible.
-        assert_ne!(outputs[0].1, outputs[1].1);
-        let mut again = Vec::new();
-        engine
-            .run_episodes(250, |e, out| again.push((e, out.paths())))
-            .unwrap();
-        assert_eq!(outputs, again);
-        // Aggregated visits equal the episode sum.
-        let visits = stats.visits_sorted.unwrap();
-        assert_eq!(visits.iter().sum::<u64>(), 300 * 4);
-    }
-
-    #[test]
-    fn zero_total_episode_walkers_rejected() {
-        let g = synth::cycle(8);
-        let engine = FlashMob::new(&g, config(4, 2)).unwrap();
-        assert!(matches!(
-            engine.run_episodes(0, |_, _| {}),
-            Err(WalkError::NoWalkers)
-        ));
-    }
-
-    #[test]
     fn stats_summaries_are_nan_free_at_zero_steps() {
         // A default RunStats has steps_taken == 0 and a zero wall; every
         // derived ratio and rendered summary must stay finite.
@@ -2267,7 +1952,7 @@ mod tests {
             let engine = FlashMob::new(&g, config(300, 5).threads(threads)).unwrap();
             let plain = engine.run().unwrap();
             let mut tel = fm_telemetry::Telemetry::new();
-            let (traced, stats) = engine.run_traced(&mut tel).unwrap();
+            let (traced, stats) = engine.run_with(&RunOptions::default(), &mut tel).unwrap();
             assert_eq!(plain.paths(), traced.paths(), "tracing must not perturb RNG");
             assert_eq!(
                 tel.partition_steps_total(),
@@ -2298,7 +1983,7 @@ mod tests {
         let g = synth::power_law(600, 1.9, 1, 60, 4);
         let engine = FlashMob::new(&g, config(400, 4)).unwrap();
         let mut tel = fm_telemetry::Telemetry::new();
-        let (_, stats) = engine.run_traced(&mut tel).unwrap();
+        let (_, stats) = engine.run_with(&RunOptions::default(), &mut tel).unwrap();
         let (ps, ds): (u64, u64) = tel
             .partition_counters()
             .iter()

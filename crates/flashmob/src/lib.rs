@@ -49,6 +49,7 @@ pub mod partition;
 pub mod plan;
 pub mod pool;
 pub mod program;
+mod run;
 pub mod sample;
 pub mod shuffle;
 pub mod walker;
@@ -60,6 +61,7 @@ pub use output::WalkOutput;
 pub use partition::{Partition, PartitionMap, SamplePolicy};
 pub use pool::{DisjointSlice, PoolStats, WorkerPool};
 pub use plan::{Plan, PlanStrategy, Planner, PlannerParams};
+pub use run::RunOptions;
 pub use walker::WalkerInit;
 
 // Checkpoint/resume and fault-injection types, re-exported so engine

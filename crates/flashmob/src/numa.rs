@@ -18,16 +18,13 @@
 //! remote-address boundary verifies that P-mode's remote traffic is
 //! streaming-only and rare.
 
-use std::path::Path;
-
 use fm_graph::Csr;
 use fm_memsim::{HierarchyConfig, MemorySystem};
-use fm_recover::{CheckpointSpec, MANIFEST_NAME};
 use fm_telemetry::Telemetry;
 
 use crate::engine::FlashMob;
 use crate::pool::PoolStats;
-use crate::{WalkConfig, WalkError};
+use crate::{RunOptions, WalkConfig, WalkError};
 
 /// Which cross-socket mode to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,18 +73,6 @@ pub struct NumaReport {
     pub pool: PoolStats,
 }
 
-/// A per-socket recorder matching the parent's enablement: socket `s`
-/// records under trace pid `s` and is later merged into the parent with
-/// [`Telemetry::absorb`], which keeps span attribution per socket while
-/// summing counters exactly once.
-fn socket_recorder(parent: &Telemetry, s: usize) -> Telemetry {
-    if parent.is_on() {
-        Telemetry::new().with_pid(s as u32)
-    } else {
-        Telemetry::off()
-    }
-}
-
 /// Bytes of walker-array state per walker (W, SW, Snext, Wnext, plus
 /// prev arrays for second-order walks).
 fn bytes_per_walker(second_order: bool) -> usize {
@@ -133,21 +118,6 @@ pub fn run_numa(
     machine: &NumaMachine,
     mode: NumaMode,
 ) -> Result<NumaReport, WalkError> {
-    run_numa_traced(graph, base, machine, mode, &mut Telemetry::off())
-}
-
-/// [`run_numa`] with telemetry: in R-mode each socket records into its
-/// own recorder (tagged with the socket index as the trace pid) which is
-/// then merged into `tel` — spans keep per-socket attribution and the
-/// partition counters sum exactly once, so the merged
-/// `partition_steps_total` equals the total steps across sockets.
-pub fn run_numa_traced(
-    graph: &Csr,
-    base: WalkConfig,
-    machine: &NumaMachine,
-    mode: NumaMode,
-    tel: &mut Telemetry,
-) -> Result<NumaReport, WalkError> {
     let second_order = base.algorithm.is_second_order();
     let walkers = walker_capacity(graph, machine, mode, second_order).max(machine.sockets);
     match mode {
@@ -158,7 +128,7 @@ pub fn run_numa_traced(
             // simulated sockets.
             let config = base.clone().walkers(walkers).record_paths(false);
             let engine = FlashMob::new(graph, config)?;
-            let (_, stats) = engine.run_traced(tel)?;
+            let (_, stats) = engine.run_with_stats()?;
 
             // Instrumented verification: place the walker arrays beyond a
             // remote boundary covering half the address space, proving
@@ -198,9 +168,7 @@ pub fn run_numa_traced(
                     .seed(base.seed.wrapping_add(s as u64))
                     .record_paths(false);
                 let engine = FlashMob::new(graph, config)?;
-                let mut socket_tel = socket_recorder(tel, s);
-                let (_, stats) = engine.run_traced(&mut socket_tel)?;
-                tel.absorb(socket_tel);
+                let (_, stats) = engine.run_with_stats()?;
                 total_ns += stats.wall.as_nanos() as f64;
                 total_steps += stats.steps_taken;
                 pool.spawned += stats.pool.spawned;
@@ -229,20 +197,12 @@ pub fn run_numa_traced(
 /// only; the conformance harness needs the actual sampled paths of both
 /// modes to prove they realize the same Markov chain, which is what this
 /// entry point provides.
+///
+/// Telemetry goes into `tel`: each R-mode socket records into its own
+/// recorder, tagged with the socket index as the trace pid, which is
+/// then merged into `tel` — spans keep per-socket attribution and the
+/// partition counters sum exactly once across sockets.
 pub fn run_numa_paths(
-    graph: &Csr,
-    base: WalkConfig,
-    mode: NumaMode,
-    sockets: usize,
-) -> Result<Vec<crate::output::WalkOutput>, WalkError> {
-    run_numa_paths_traced(graph, base, mode, sockets, &mut Telemetry::off())
-}
-
-/// [`run_numa_paths`] with telemetry, following the same per-socket
-/// merge protocol as [`run_numa_traced`]: each R-mode socket records
-/// into a pid-tagged recorder absorbed into `tel`, so counters sum
-/// exactly once across sockets.
-pub fn run_numa_paths_traced(
     graph: &Csr,
     base: WalkConfig,
     mode: NumaMode,
@@ -252,10 +212,11 @@ pub fn run_numa_paths_traced(
     if sockets == 0 {
         return Err(WalkError::Planning("need at least one socket".into()));
     }
+    let opts = RunOptions::default();
     match mode {
         NumaMode::Partitioned => {
             let engine = FlashMob::new(graph, base.record_paths(true))?;
-            Ok(vec![engine.run_traced(tel)?.0])
+            Ok(vec![engine.run_with(&opts, tel)?.0])
         }
         NumaMode::Replicated => {
             let total = base.walkers;
@@ -274,122 +235,13 @@ pub fn run_numa_paths_traced(
                     .seed(base.seed.wrapping_add(s as u64))
                     .record_paths(true);
                 let engine = FlashMob::new(graph, config)?;
-                let mut socket_tel = socket_recorder(tel, s);
-                outputs.push(engine.run_traced(&mut socket_tel)?.0);
-                tel.absorb(socket_tel);
-            }
-            Ok(outputs)
-        }
-    }
-}
-
-/// The checkpoint directory of R-mode socket `s` under the run's root
-/// checkpoint directory (P-mode uses the root directly — it is one
-/// spanning engine instance).
-fn socket_dir(root: &Path, s: usize) -> std::path::PathBuf {
-    root.join(format!("socket-{s}"))
-}
-
-/// [`run_numa_paths_traced`] with crash-consistent checkpointing.
-///
-/// P-mode delegates to the spanning engine's checkpoint path.  R-mode
-/// gives every socket its own subdirectory (`<dir>/socket-<s>`) so the
-/// independent instances never race on a manifest; sockets run serially,
-/// so a `halt_after` kill stops the whole mode at the first socket that
-/// reaches it — exactly the state [`resume_numa_paths`] recovers from.
-pub fn run_numa_paths_with_checkpoints(
-    graph: &Csr,
-    base: WalkConfig,
-    mode: NumaMode,
-    sockets: usize,
-    spec: &CheckpointSpec,
-    tel: &mut Telemetry,
-) -> Result<Vec<crate::output::WalkOutput>, WalkError> {
-    if sockets == 0 {
-        return Err(WalkError::Planning("need at least one socket".into()));
-    }
-    match mode {
-        NumaMode::Partitioned => {
-            let engine = FlashMob::new(graph, base.record_paths(true))?;
-            Ok(vec![engine.run_with_checkpoints_traced(spec, tel)?.0])
-        }
-        NumaMode::Replicated => {
-            let total = base.walkers;
-            if total < sockets {
-                return Err(WalkError::NoWalkers);
-            }
-            let share = total / sockets;
-            let mut outputs = Vec::with_capacity(sockets);
-            for s in 0..sockets {
-                let walkers = if s == 0 { total - share * (sockets - 1) } else { share };
-                let config = base
-                    .clone()
-                    .walkers(walkers)
-                    .seed(base.seed.wrapping_add(s as u64))
-                    .record_paths(true);
-                let engine = FlashMob::new(graph, config)?;
-                let socket_spec = CheckpointSpec {
-                    dir: socket_dir(&spec.dir, s),
-                    ..spec.clone()
-                };
-                let mut socket_tel = socket_recorder(tel, s);
-                let result = engine.run_with_checkpoints_traced(&socket_spec, &mut socket_tel);
-                tel.absorb(socket_tel);
-                outputs.push(result?.0);
-            }
-            Ok(outputs)
-        }
-    }
-}
-
-/// Resumes a [`run_numa_paths_with_checkpoints`] run killed mid-flight,
-/// producing outputs bit-identical to the uninterrupted run's.
-///
-/// R-mode sockets recover independently: a socket whose subdirectory
-/// holds a checkpoint resumes from it (a socket that had already
-/// finished resumes from its final checkpoint and completes in zero
-/// iterations); a socket the kill never reached starts fresh.
-pub fn resume_numa_paths(
-    graph: &Csr,
-    base: WalkConfig,
-    mode: NumaMode,
-    sockets: usize,
-    dir: impl AsRef<Path>,
-    tel: &mut Telemetry,
-) -> Result<Vec<crate::output::WalkOutput>, WalkError> {
-    if sockets == 0 {
-        return Err(WalkError::Planning("need at least one socket".into()));
-    }
-    let dir = dir.as_ref();
-    match mode {
-        NumaMode::Partitioned => {
-            let engine = FlashMob::new(graph, base.record_paths(true))?;
-            Ok(vec![engine.resume_with(dir, None, tel)?.0])
-        }
-        NumaMode::Replicated => {
-            let total = base.walkers;
-            if total < sockets {
-                return Err(WalkError::NoWalkers);
-            }
-            let share = total / sockets;
-            let mut outputs = Vec::with_capacity(sockets);
-            for s in 0..sockets {
-                let walkers = if s == 0 { total - share * (sockets - 1) } else { share };
-                let config = base
-                    .clone()
-                    .walkers(walkers)
-                    .seed(base.seed.wrapping_add(s as u64))
-                    .record_paths(true);
-                let engine = FlashMob::new(graph, config)?;
-                let sdir = socket_dir(dir, s);
-                let mut socket_tel = socket_recorder(tel, s);
-                let result = if sdir.join(MANIFEST_NAME).is_file() {
-                    engine.resume_with(&sdir, None, &mut socket_tel)
+                let mut socket_tel = if tel.is_on() {
+                    Telemetry::new().with_pid(s as u32)
                 } else {
-                    engine.run_traced(&mut socket_tel)
+                    Telemetry::off()
                 };
+                outputs.push(engine.run_with(&opts, &mut socket_tel)?.0);
                 tel.absorb(socket_tel);
-                outputs.push(result?.0);
             }
             Ok(outputs)
         }
@@ -446,7 +298,7 @@ mod tests {
             });
         let mut tel = Telemetry::new();
         let outputs =
-            run_numa_paths_traced(&g, base.clone(), NumaMode::Replicated, 3, &mut tel).unwrap();
+            run_numa_paths(&g, base.clone(), NumaMode::Replicated, 3, &mut tel).unwrap();
         assert_eq!(outputs.len(), 3);
         // 120 walkers × 4 steps across all sockets, counted exactly once
         // in the merged recorder.
@@ -460,7 +312,8 @@ mod tests {
             );
         }
         // Tracing must not perturb the sampled paths.
-        let plain = run_numa_paths(&g, base, NumaMode::Replicated, 3).unwrap();
+        let plain =
+            run_numa_paths(&g, base, NumaMode::Replicated, 3, &mut Telemetry::off()).unwrap();
         for (a, b) in plain.iter().zip(&outputs) {
             assert_eq!(a.paths(), b.paths());
         }
@@ -472,8 +325,7 @@ mod tests {
         let g = synth::power_law(300, 2.0, 1, 30, 4);
         let base = crate::WalkConfig::deepwalk().walkers(90).steps(3).seed(2);
         let mut tel = Telemetry::new();
-        let outputs =
-            run_numa_paths_traced(&g, base, NumaMode::Partitioned, 2, &mut tel).unwrap();
+        let outputs = run_numa_paths(&g, base, NumaMode::Partitioned, 2, &mut tel).unwrap();
         assert_eq!(outputs.len(), 1, "P-mode is a single spanning instance");
         assert_eq!(tel.partition_steps_total(), 90 * 3);
     }

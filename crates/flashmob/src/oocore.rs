@@ -26,16 +26,17 @@ use fm_graph::relabel::{sort_by_degree, Relabeling};
 use fm_graph::{Csr, GraphError, VertexId};
 use fm_memsim::NullProbe;
 use fm_recover::{
-    load_latest, transient_io, with_retries, BiBlockState, CheckpointSink, CheckpointSpec,
-    FaultPolicy, FaultyFile, Fingerprint, RecoverError, RetryPolicy, WalkSnapshot,
+    load_latest, transient_io, with_retries, BiBlockState, CheckpointSink, FaultyFile,
+    RetryPolicy, WalkSnapshot,
 };
 use fm_rng::{Rng64, Xorshift64Star};
 use fm_telemetry::{Stage, Telemetry, NO_PARTITION, NO_STEP};
 
 use crate::output::WalkOutput;
+use crate::run::{check_snapshot, config_fingerprint, graph_fingerprint, mismatch, EngineKind};
 use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
 use crate::walker::{initialize, WalkerInit};
-use crate::{Partition, PartitionMap, SamplePolicy, WalkConfig, WalkError, DEAD};
+use crate::{Partition, PartitionMap, RunOptions, SamplePolicy, WalkConfig, WalkError, DEAD};
 
 const MAGIC: &[u8; 8] = b"FMDISK1\0";
 
@@ -265,46 +266,9 @@ impl OocStats {
     }
 }
 
-/// Robustness options of an out-of-core run: checkpointing, fault
-/// injection, retries, and resume.
-#[derive(Debug, Default)]
-pub struct OocOptions {
-    /// Write crash-consistent checkpoints per this spec.
-    pub checkpoint: Option<CheckpointSpec>,
-    /// Inject seeded faults into the disk-graph read stream (tests).
-    pub fault: Option<FaultPolicy>,
-    /// Retry policy for transient disk-read errors.
-    pub retry: RetryPolicy,
-    /// Resume from the latest checkpoint in this directory instead of
-    /// starting fresh.
-    pub resume_from: Option<PathBuf>,
-}
-
-impl OocOptions {
-    /// Enables checkpointing per `spec`.
-    pub fn checkpoint(mut self, spec: CheckpointSpec) -> Self {
-        self.checkpoint = Some(spec);
-        self
-    }
-
-    /// Injects seeded faults into disk-graph reads.
-    pub fn fault(mut self, policy: FaultPolicy) -> Self {
-        self.fault = Some(policy);
-        self
-    }
-
-    /// Sets the transient-read retry policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Resumes from the latest checkpoint in `dir`.
-    pub fn resume_from(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.resume_from = Some(dir.into());
-        self
-    }
-}
+/// [`RunOptions`] under its out-of-core name, for callers that import
+/// it from this module.
+pub use crate::RunOptions as OocOptions;
 
 /// Walks a disk-resident graph with first-order uniform (DeepWalk)
 /// semantics.
@@ -318,24 +282,12 @@ pub fn run_ooc(
     config: &WalkConfig,
     partition_budget_bytes: usize,
 ) -> Result<(WalkOutput, OocStats), WalkError> {
-    run_ooc_traced(disk, config, partition_budget_bytes, &mut Telemetry::off())
-}
-
-/// [`run_ooc`] with telemetry: Shuffle/Sample spans per iteration, an
-/// Io span per partition read, per-partition counters (steps plus the
-/// actual adjacency bytes streamed from disk), and heartbeat ticks.
-pub fn run_ooc_traced(
-    disk: &DiskGraph,
-    config: &WalkConfig,
-    partition_budget_bytes: usize,
-    tel: &mut Telemetry,
-) -> Result<(WalkOutput, OocStats), WalkError> {
     run_ooc_with(
         disk,
         config,
         partition_budget_bytes,
-        &OocOptions::default(),
-        tel,
+        &RunOptions::default(),
+        &mut Telemetry::off(),
     )
 }
 
@@ -375,86 +327,18 @@ fn init_positions(disk: &DiskGraph, config: &WalkConfig) -> Result<Vec<VertexId>
     }
 }
 
-/// Folds the walker-initialization mode into a fingerprint.
-fn fold_init(fp: &mut Fingerprint, init: &WalkerInit) {
-    match init {
-        WalkerInit::UniformVertex => {
-            fp.fold_u64(1);
-        }
-        WalkerInit::UniformEdge => {
-            fp.fold_u64(2);
-        }
-        WalkerInit::EveryVertex => {
-            fp.fold_u64(3);
-        }
-        WalkerInit::Fixed(starts) => {
-            fp.fold_u64(4).fold_u64(starts.len() as u64);
-            for &s in starts {
-                fp.fold_u64(s as u64);
-            }
-        }
-    }
-}
-
-/// Fingerprint of everything that determines the out-of-core chain;
-/// the partition budget is included because it fixes the partition
-/// layout and therefore the per-partition RNG stream assignment.
-fn ooc_config_tag(config: &WalkConfig, partition_budget_bytes: usize) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.fold_u64(0x00C0_FEED) // domain separator: out-of-core engine
-        .fold_u64(config.walkers as u64)
-        .fold_u64(config.seed)
-        .fold_u64(config.max_steps() as u64)
-        .fold_u64(config.record_paths as u64)
-        .fold_u64(partition_budget_bytes as u64);
-    fold_init(&mut fp, &config.init);
-    fp.value()
-}
-
-/// Fingerprint of a bi-block second-order run.  A distinct domain
-/// separator keeps first-order snapshots from resuming bi-block runs
-/// (and vice versa) even when every scalar matches; the algorithm
-/// parameters are folded because they change the sampled chain.
-fn biblock_config_tag(config: &WalkConfig, partition_budget_bytes: usize) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.fold_u64(0x00B1_B10C) // domain separator: bi-block scheduler
-        .fold_u64(config.walkers as u64)
-        .fold_u64(config.seed)
-        .fold_u64(config.max_steps() as u64)
-        .fold_u64(config.record_paths as u64)
-        .fold_u64(partition_budget_bytes as u64);
-    match config.algorithm {
-        crate::WalkAlgorithm::Node2Vec { p, q } => {
-            fp.fold_u64(1).fold_u64(p.to_bits()).fold_u64(q.to_bits());
-        }
-        crate::WalkAlgorithm::Ppr { alpha } => {
-            fp.fold_u64(2).fold_u64(alpha.to_bits());
-        }
-        _ => unreachable!("bi-block scheduler runs node2vec and PPR only"),
-    }
-    fold_init(&mut fp, &config.init);
-    fp.value()
-}
-
-/// Fingerprint of the disk graph's shape.
-fn ooc_graph_tag(disk: &DiskGraph) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.fold_u64(disk.vertex_count() as u64)
-        .fold_u64(disk.edge_count() as u64);
-    for &o in &disk.offsets {
-        fp.fold_u64(o as u64);
-    }
-    fp.value()
-}
-
-/// [`run_ooc`] with the full robustness surface: crash-consistent
-/// checkpoints, resume, seeded fault injection on the read stream, and
-/// bounded retries with exponential backoff for transient IO errors.
+/// [`run_ooc`] under `opts`, recording telemetry into `tel`:
+/// crash-consistent checkpoints, resume, seeded fault injection on the
+/// read stream, and bounded retries with exponential backoff for
+/// transient IO errors.  Traced runs record Shuffle/Sample spans per
+/// iteration, an Io span per partition or block read, Checkpoint and
+/// Recovery spans, per-partition counters (steps plus the adjacency
+/// bytes actually streamed) and heartbeat ticks.
 pub fn run_ooc_with(
     disk: &DiskGraph,
     config: &WalkConfig,
     partition_budget_bytes: usize,
-    opts: &OocOptions,
+    opts: &RunOptions,
     tel: &mut Telemetry,
 ) -> Result<(WalkOutput, OocStats), WalkError> {
     if config.walkers == 0 {
@@ -535,11 +419,11 @@ pub fn run_ooc_with(
         .as_ref()
         .filter(|ck| ck.every > 0)
         .map(CheckpointSink::from_spec);
-    let (config_tag, graph_tag) = if sink.is_some() || opts.resume_from.is_some() {
-        (
-            ooc_config_tag(config, partition_budget_bytes),
-            ooc_graph_tag(disk),
-        )
+    let (config_fp, graph_fp) = if sink.is_some() || opts.resume_from.is_some() {
+        let engine = EngineKind::Streaming {
+            budget: partition_budget_bytes,
+        };
+        (config_fingerprint(config, engine), graph_fingerprint(&disk.offsets))
     } else {
         (0, 0)
     };
@@ -549,31 +433,9 @@ pub fn run_ooc_with(
     if let Some(dir) = opts.resume_from.as_ref() {
         let span = tel.is_on().then(|| tel.now_ns());
         let (_generation, snap) = load_latest(dir)?;
-        let mismatch = |detail: String| WalkError::Recover(RecoverError::Mismatch { detail });
-        if snap.config_tag != config_tag {
-            return Err(mismatch(
-                "snapshot was written under a different out-of-core configuration".into(),
-            ));
-        }
-        if snap.graph_tag != graph_tag {
-            return Err(mismatch(
-                "snapshot was written against a different disk graph".into(),
-            ));
-        }
-        if snap.seed != config.seed
-            || snap.walkers as usize != walkers
-            || snap.w.len() != walkers
-            || snap.steps_total as usize != steps
-            || snap.iter_next as usize > steps
-            || snap.ps.len() != partitions.len()
-        {
-            return Err(mismatch("snapshot shape does not fit this run".into()));
-        }
-        if config.record_paths
-            && (snap.rows.len() != snap.iter_next as usize + 1
-                || snap.rows.iter().any(|r| r.len() != walkers))
-        {
-            return Err(mismatch("snapshot path rows are inconsistent".into()));
+        check_snapshot(&snap, config, config_fp, graph_fp)?;
+        if snap.ps.len() != partitions.len() {
+            return Err(mismatch("snapshot partition layout does not fit this run"));
         }
         w = snap.w;
         if config.record_paths {
@@ -679,8 +541,8 @@ pub fn run_ooc_with(
                     steps_total: steps as u64,
                     walkers: walkers as u64,
                     steps_taken: stats.steps_taken,
-                    config_tag,
-                    graph_tag,
+                    config_fingerprint: config_fp,
+                    graph_fingerprint: graph_fp,
                     per_partition_steps: vec![0; partitions.len()],
                     w: w.clone(),
                     prev: Vec::new(),
@@ -782,7 +644,7 @@ fn run_ooc_biblock(
     disk: &DiskGraph,
     config: &WalkConfig,
     partition_budget_bytes: usize,
-    opts: &OocOptions,
+    opts: &RunOptions,
     tel: &mut Telemetry,
 ) -> Result<(WalkOutput, OocStats), WalkError> {
     let n = disk.vertex_count();
@@ -871,11 +733,11 @@ fn run_ooc_biblock(
         .as_ref()
         .filter(|ck| ck.every > 0)
         .map(CheckpointSink::from_spec);
-    let (config_tag, graph_tag) = if sink.is_some() || opts.resume_from.is_some() {
-        (
-            biblock_config_tag(config, partition_budget_bytes),
-            ooc_graph_tag(disk),
-        )
+    let (config_fp, graph_fp) = if sink.is_some() || opts.resume_from.is_some() {
+        let engine = EngineKind::BiBlock {
+            budget: partition_budget_bytes,
+        };
+        (config_fingerprint(config, engine), graph_fingerprint(&disk.offsets))
     } else {
         (0, 0)
     };
@@ -883,25 +745,12 @@ fn run_ooc_biblock(
     if let Some(dir) = opts.resume_from.as_ref() {
         let span = tel.is_on().then(|| tel.now_ns());
         let (_generation, mut snap) = load_latest(dir)?;
-        let mismatch =
-            |detail: &str| WalkError::Recover(RecoverError::Mismatch { detail: detail.into() });
-        if snap.config_tag != config_tag {
-            return Err(mismatch(
-                "snapshot was written under a different out-of-core configuration",
-            ));
-        }
-        if snap.graph_tag != graph_tag {
-            return Err(mismatch("snapshot was written against a different disk graph"));
-        }
+        check_snapshot(&snap, config, config_fp, graph_fp)?;
         let bb = snap
             .biblock
             .take()
             .ok_or_else(|| mismatch("snapshot carries no bi-block scheduler state"))?;
-        if snap.seed != config.seed
-            || snap.walkers as usize != walkers
-            || snap.w.len() != walkers
-            || snap.prev.len() != walkers
-            || snap.steps_total as usize != steps
+        if snap.prev.len() != walkers
             || bb.done.len() != walkers
             || bb.blocks as usize != nblocks
             || bb.buckets.len() != n_pairs
@@ -1143,8 +992,8 @@ fn run_ooc_biblock(
                             steps_total: steps as u64,
                             walkers: walkers as u64,
                             steps_taken: stats.steps_taken,
-                            config_tag,
-                            graph_tag,
+                            config_fingerprint: config_fp,
+                            graph_fingerprint: graph_fp,
                             per_partition_steps: Vec::new(),
                             w: cur.clone(),
                             prev: prevv.clone(),
@@ -1195,8 +1044,8 @@ fn run_ooc_biblock(
                 steps_total: steps as u64,
                 walkers: walkers as u64,
                 steps_taken: stats.steps_taken,
-                config_tag,
-                graph_tag,
+                config_fingerprint: config_fp,
+                graph_fingerprint: graph_fp,
                 per_partition_steps: Vec::new(),
                 w: cur.clone(),
                 prev: prevv.clone(),
@@ -1248,6 +1097,7 @@ fn run_ooc_biblock(
 mod tests {
     use super::*;
     use fm_graph::synth;
+    use fm_recover::{CheckpointSpec, RecoverError};
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fm_oocore_tests");
@@ -1352,7 +1202,8 @@ mod tests {
         let disk = DiskGraph::create(&g, &path).unwrap();
         let cfg = WalkConfig::deepwalk().walkers(200).steps(6).seed(9);
         let mut tel = Telemetry::new();
-        let (out, stats) = run_ooc_traced(&disk, &cfg, 8 << 10, &mut tel).unwrap();
+        let (out, stats) =
+            run_ooc_with(&disk, &cfg, 8 << 10, &RunOptions::default(), &mut tel).unwrap();
         assert_eq!(tel.partition_steps_total(), stats.steps_taken);
         // One Io span per performed partition read, none for skips.
         assert_eq!(tel.stage(Stage::Io).spans, stats.partitions_read);
@@ -1529,20 +1380,20 @@ mod tests {
 
         let ckdir = temp_path("bb_ck_dir");
         std::fs::remove_dir_all(&ckdir).ok();
-        let halt = OocOptions {
+        let halt = RunOptions {
             checkpoint: Some(CheckpointSpec {
                 halt_after: Some(2),
                 ..CheckpointSpec::new(&ckdir, 3)
             }),
-            ..OocOptions::default()
+            ..RunOptions::default()
         };
         let mut tel = Telemetry::off();
         let err = run_ooc_with(&disk, &cfg, budget, &halt, &mut tel).unwrap_err();
         assert!(matches!(err, WalkError::Halted { generation: 2 }));
 
-        let resume = OocOptions {
+        let resume = RunOptions {
             resume_from: Some(ckdir.clone()),
-            ..OocOptions::default()
+            ..RunOptions::default()
         };
         let (resumed, _) = run_ooc_with(&disk, &cfg, budget, &resume, &mut tel).unwrap();
         assert_eq!(reference.paths(), resumed.paths());

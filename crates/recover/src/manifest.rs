@@ -295,8 +295,8 @@ mod tests {
             steps_total: 16,
             walkers: 4,
             steps_taken: iter_next * 4,
-            config_tag: 1,
-            graph_tag: 2,
+            config_fingerprint: 1,
+            graph_fingerprint: 2,
             per_partition_steps: vec![iter_next * 2, iter_next * 2],
             w: vec![1, 2, 3, 4],
             prev: Vec::new(),

@@ -145,10 +145,10 @@ pub struct WalkSnapshot {
     pub steps_taken: u64,
     /// Fingerprint of the engine configuration (algorithm, stop rule,
     /// planner, …); a resume against a different config is rejected.
-    pub config_tag: u64,
+    pub config_fingerprint: u64,
     /// Fingerprint of the (sorted) graph; a resume against a different
     /// graph is rejected.
-    pub graph_tag: u64,
+    pub graph_fingerprint: u64,
     /// Walker-steps executed per partition so far.
     pub per_partition_steps: Vec<u64>,
     /// Current walker vertices (sorted ID space).
@@ -259,8 +259,8 @@ impl WalkSnapshot {
         state.put_u64(self.steps_total);
         state.put_u64(self.walkers);
         state.put_u64(self.steps_taken);
-        state.put_u64(self.config_tag);
-        state.put_u64(self.graph_tag);
+        state.put_u64(self.config_fingerprint);
+        state.put_u64(self.graph_fingerprint);
         state.put_u64_slice(&self.per_partition_steps);
 
         let mut walkers = Writer::new();
@@ -352,8 +352,8 @@ impl WalkSnapshot {
         let steps_total = r.u64()?;
         let walker_count = r.u64()?;
         let steps_taken = r.u64()?;
-        let config_tag = r.u64()?;
-        let graph_tag = r.u64()?;
+        let config_fingerprint = r.u64()?;
+        let graph_fingerprint = r.u64()?;
         let per_partition_steps = r.u64_vec()?;
         r.finish()?;
 
@@ -447,8 +447,8 @@ impl WalkSnapshot {
             steps_total,
             walkers: walker_count,
             steps_taken,
-            config_tag,
-            graph_tag,
+            config_fingerprint,
+            graph_fingerprint,
             per_partition_steps,
             w,
             prev,
@@ -472,8 +472,8 @@ mod tests {
             steps_total: 8,
             walkers: 6,
             steps_taken: 24,
-            config_tag: 0xDEAD_BEEF,
-            graph_tag: 0xFEED_FACE,
+            config_fingerprint: 0xDEAD_BEEF,
+            graph_fingerprint: 0xFEED_FACE,
             per_partition_steps: vec![10, 8, 6],
             w: vec![1, 2, 3, 4, 5, 6],
             prev: vec![6, 5, 4, 3, 2, 1],

@@ -323,6 +323,7 @@ fn zero_walkers_and_zero_steps_return_cleanly_on_every_engine() {
     use flashmob_repro::flashmob::numa::{run_numa_paths, NumaMode};
     use flashmob_repro::flashmob::oocore::{run_ooc, DiskGraph};
     use flashmob_repro::flashmob::WalkError;
+    use flashmob_repro::telemetry::Telemetry;
 
     let g = synth::power_law(64, 2.0, 2, 12, 21);
     let fm_cfg = WalkConfig::deepwalk().planner(tiny_planner());
@@ -344,7 +345,8 @@ fn zero_walkers_and_zero_steps_return_cleanly_on_every_engine() {
         assert!(matches!(err, Some(WalkError::NoWalkers)));
     }
     for mode in [NumaMode::Partitioned, NumaMode::Replicated] {
-        let err = run_numa_paths(&g, fm_cfg.clone().walkers(0), mode, 2).err();
+        let no_walkers = fm_cfg.clone().walkers(0);
+        let err = run_numa_paths(&g, no_walkers, mode, 2, &mut Telemetry::off()).err();
         assert!(matches!(err, Some(WalkError::NoWalkers)), "{mode:?}");
     }
     let disk_path = std::env::temp_dir().join("fm_edge_zero_walkers.fmdisk");
@@ -376,7 +378,8 @@ fn zero_walkers_and_zero_steps_return_cleanly_on_every_engine() {
         assert!(out.paths().iter().all(|p| p.len() == 1));
     }
     for mode in [NumaMode::Partitioned, NumaMode::Replicated] {
-        let outputs = run_numa_paths(&g, zero_steps.clone(), mode, 2).unwrap();
+        let outputs =
+            run_numa_paths(&g, zero_steps.clone(), mode, 2, &mut Telemetry::off()).unwrap();
         let total: usize = outputs.iter().map(|o| o.paths().len()).sum();
         assert_eq!(total, 12, "{mode:?}");
         for o in &outputs {
@@ -522,7 +525,8 @@ fn program_state_survives_checkpoint_halt_resume() {
     // Per-walker program state (the origin lane) must ride the snapshot
     // wire format: halting mid-run and resuming reproduces the
     // uninterrupted walk bit for bit, for both stateful programs.
-    use flashmob_repro::flashmob::{CheckpointSpec, WalkAlgorithm, WalkError};
+    use flashmob_repro::flashmob::{CheckpointSpec, RunOptions, WalkAlgorithm, WalkError};
+    use flashmob_repro::telemetry::Telemetry;
     let g = synth::power_law(256, 2.0, 2, 24, 7);
     for algo in [WalkAlgorithm::Ppr { alpha: 0.3 }, WalkAlgorithm::EarlyExit] {
         let make = || {
@@ -545,11 +549,13 @@ fn program_state_survives_checkpoint_halt_resume() {
         ));
         std::fs::remove_dir_all(&dir).ok();
         let spec = CheckpointSpec::new(&dir, 2).halt_after(1);
-        match make().run_with_checkpoints(&spec) {
+        let halt = RunOptions::default().checkpoint(spec);
+        match make().run_with(&halt, &mut Telemetry::off()) {
             Err(WalkError::Halted { .. }) => {}
             other => panic!("halt_after must stop the run, got {other:?}"),
         }
-        let (resumed, _) = make().resume(&dir).unwrap();
+        let resume = RunOptions::default().resume_from(&dir);
+        let (resumed, _) = make().run_with(&resume, &mut Telemetry::off()).unwrap();
         assert_eq!(
             full.paths(),
             resumed.paths(),

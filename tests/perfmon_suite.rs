@@ -18,7 +18,7 @@
 
 #![cfg(not(feature = "telemetry-off"))]
 
-use flashmob_repro::flashmob::{FlashMob, WalkConfig};
+use flashmob_repro::flashmob::{FlashMob, RunOptions, WalkConfig};
 use flashmob_repro::graph::synth;
 use flashmob_repro::perfmon::{self, CounterGroup, HwEvent, PerfError};
 use flashmob_repro::telemetry::Telemetry;
@@ -43,7 +43,7 @@ fn paths_with_hw(steps: usize, hw: bool) -> (Vec<Vec<u32>>, bool) {
         // Err is the documented degradation path, not a failure.
         attached = tel.enable_hw_counters().is_ok();
     }
-    let (out, _stats) = engine.run_traced(&mut tel).expect("walk");
+    let (out, _stats) = engine.run_with(&RunOptions::default(), &mut tel).expect("walk");
     (out.paths().to_vec(), attached)
 }
 
@@ -89,7 +89,7 @@ fn counters_are_plausible_when_available() {
     let mut tel = Telemetry::new();
     tel.enable_hw_counters().expect("counters available");
     assert!(tel.hw_enabled());
-    engine.run_traced(&mut tel).expect("walk");
+    engine.run_with(&RunOptions::default(), &mut tel).expect("walk");
 
     let total = tel.hw_total().expect("total counters");
     assert!(
@@ -114,7 +114,7 @@ fn counters_grow_with_work_when_available() {
         let engine = FlashMob::new(&g, walk_config(steps)).expect("engine");
         let mut tel = Telemetry::new();
         tel.enable_hw_counters().expect("counters available");
-        engine.run_traced(&mut tel).expect("walk");
+        engine.run_with(&RunOptions::default(), &mut tel).expect("walk");
         tel.hw_total().expect("total").get(HwEvent::Instructions)
     };
     let short = instructions(4);

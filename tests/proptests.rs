@@ -373,8 +373,8 @@ fn program_state_round_trips_through_wire_codec() {
             steps_total: gen_range(&mut rng, 0, 100),
             walkers: walkers as u64,
             steps_taken: rng.next_u64() >> 8,
-            config_tag: rng.next_u64(),
-            graph_tag: rng.next_u64(),
+            config_fingerprint: rng.next_u64(),
+            graph_fingerprint: rng.next_u64(),
             per_partition_steps: (0..parts).map(|_| rng.next_u64() >> 16).collect(),
             w: (0..walkers).map(|_| rng.next_u64() as u32).collect(),
             // The program-state lane: arbitrary origins, including the

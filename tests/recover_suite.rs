@@ -20,8 +20,10 @@
 use std::time::Instant;
 
 use flashmob_repro::conformance::crash::run_crash_matrix;
-use flashmob_repro::flashmob::oocore::{run_ooc, run_ooc_with, DiskGraph, OocOptions};
-use flashmob_repro::flashmob::{CheckpointSpec, FaultPolicy, FlashMob, PlanStrategy, WalkConfig};
+use flashmob_repro::flashmob::oocore::{run_ooc, run_ooc_with, DiskGraph};
+use flashmob_repro::flashmob::{
+    CheckpointSpec, FaultPolicy, FlashMob, PlanStrategy, RunOptions, WalkConfig,
+};
 use flashmob_repro::graph::synth;
 use flashmob_repro::telemetry::{export, Telemetry};
 
@@ -90,7 +92,7 @@ fn checkpoint_overhead_stays_under_five_percent() {
 
     let dir = temp_path("overhead_ckpt");
     std::fs::remove_dir_all(&dir).ok();
-    let spec = CheckpointSpec::new(&dir, 8);
+    let opts = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 8));
 
     // Best-of-N interleaved pairs; retry to shrug off scheduler noise.
     let mut ratio = f64::INFINITY;
@@ -102,7 +104,9 @@ fn checkpoint_overhead_stays_under_five_percent() {
             best_plain = best_plain.min(t0.elapsed().as_secs_f64());
 
             let t0 = Instant::now();
-            engine.run_with_checkpoints(&spec).expect("checkpointed");
+            engine
+                .run_with(&opts, &mut Telemetry::off())
+                .expect("checkpointed");
             best_ckpt = best_ckpt.min(t0.elapsed().as_secs_f64());
         }
         ratio = ratio.min(best_ckpt / best_plain);
@@ -134,7 +138,7 @@ fn ooc_transient_faults_are_absorbed_without_changing_output() {
     // 15% of partition reads fail transiently; retries must absorb
     // every one of them.
     let mut tel = Telemetry::new();
-    let opts = OocOptions::default().fault(FaultPolicy::transient(7, 0.15));
+    let opts = RunOptions::default().fault(FaultPolicy::transient(7, 0.15));
     let (faulty, faulty_stats) =
         run_ooc_with(&disk, &config, 32 * 1024, &opts, &mut tel).expect("faulty run completes");
     std::fs::remove_file(&path).ok();

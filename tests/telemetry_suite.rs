@@ -16,9 +16,9 @@
 use std::time::Instant;
 
 use flashmob_repro::baseline::{Baseline, BaselineConfig, BaselineKind};
-use flashmob_repro::flashmob::numa::{run_numa_paths_traced, NumaMode};
-use flashmob_repro::flashmob::oocore::{run_ooc_traced, DiskGraph};
-use flashmob_repro::flashmob::{FlashMob, WalkConfig};
+use flashmob_repro::flashmob::numa::{run_numa_paths, NumaMode};
+use flashmob_repro::flashmob::oocore::{run_ooc_with, DiskGraph};
+use flashmob_repro::flashmob::{FlashMob, RunOptions, WalkConfig};
 use flashmob_repro::graph::synth;
 use flashmob_repro::telemetry::{export, tef, Stage, Telemetry};
 
@@ -48,7 +48,7 @@ fn telemetry_overhead_stays_under_five_percent() {
 
             let mut tel = Telemetry::new();
             let t0 = Instant::now();
-            engine.run_traced(&mut tel).expect("traced");
+            engine.run_with(&RunOptions::default(), &mut tel).expect("traced");
             best_on = best_on.min(t0.elapsed().as_secs_f64());
         }
         ratio = ratio.min(best_on / best_off);
@@ -69,7 +69,7 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
     for threads in [1usize, 2, 3, 8] {
         let engine = FlashMob::new(&g, walk_config(300, 7, threads)).expect("engine");
         let mut tel = Telemetry::new();
-        let (_, stats) = engine.run_traced(&mut tel).expect("run");
+        let (_, stats) = engine.run_with(&RunOptions::default(), &mut tel).expect("run");
         assert_eq!(
             tel.partition_steps_total(),
             stats.steps_taken,
@@ -88,7 +88,7 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
             .record_paths(false);
             let engine = Baseline::new(&g, cfg).expect("baseline");
             let mut tel = Telemetry::new();
-            let (_, stats) = engine.run_traced(&mut tel).expect("run");
+            let (_, stats) = engine.run_with(&mut tel).expect("run");
             assert_eq!(
                 tel.partition_steps_total(),
                 stats.steps_taken,
@@ -104,7 +104,7 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
     let disk = DiskGraph::create(&g, &path).expect("disk graph");
     let mut tel = Telemetry::new();
     let config = walk_config(300, 7, 1);
-    let result = run_ooc_traced(&disk, &config, 16 * 1024, &mut tel);
+    let result = run_ooc_with(&disk, &config, 16 * 1024, &RunOptions::default(), &mut tel);
     let (_, stats) = result.expect("ooc run");
     assert_eq!(tel.partition_steps_total(), stats.steps_taken, "oocore");
     assert!(
@@ -123,7 +123,7 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
         .seed(23)
         .threads(1)
         .record_paths(false);
-    let result = run_ooc_traced(&disk, &config, 4 * 1024, &mut tel);
+    let result = run_ooc_with(&disk, &config, 4 * 1024, &RunOptions::default(), &mut tel);
     std::fs::remove_file(&path).ok();
     let (_, stats) = result.expect("bi-block run");
     assert_eq!(tel.partition_steps_total(), stats.steps_taken, "bi-block");
@@ -149,7 +149,7 @@ fn numa_merge_does_not_double_count() {
     for mode in [NumaMode::Partitioned, NumaMode::Replicated] {
         let mut tel = Telemetry::new();
         let outputs =
-            run_numa_paths_traced(&g, walk_config(240, 5, 2), mode, 3, &mut tel).expect("numa");
+            run_numa_paths(&g, walk_config(240, 5, 2), mode, 3, &mut tel).expect("numa");
         let walkers: usize = outputs.iter().map(|o| o.paths().len()).sum();
         assert_eq!(walkers, 240);
         // A sink-free power-law graph never kills walkers, so the merged
@@ -164,7 +164,7 @@ fn emitted_chrome_trace_validates_with_exact_span_coverage() {
     let steps = 6;
     let engine = FlashMob::new(&g, walk_config(400, steps, 2)).expect("engine");
     let mut tel = Telemetry::new();
-    engine.run_traced(&mut tel).expect("run");
+    engine.run_with(&RunOptions::default(), &mut tel).expect("run");
 
     let mut buf = Vec::new();
     export::write_chrome_trace(&mut buf, &tel).expect("export");
@@ -207,7 +207,7 @@ fn hw_counters_off_leaves_no_state_and_no_output() {
     let g = synth::power_law(500, 2.0, 1, 40, 3);
     let engine = FlashMob::new(&g, walk_config(400, 6, 1)).expect("engine");
     let mut tel = Telemetry::new();
-    engine.run_traced(&mut tel).expect("run");
+    engine.run_with(&RunOptions::default(), &mut tel).expect("run");
 
     assert!(!tel.hw_enabled());
     assert!(tel.hw_total().is_none());
