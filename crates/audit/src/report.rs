@@ -1,12 +1,14 @@
 //! Report rendering: human-readable lines, a `--json` encoding, and an
 //! in-tree schema check for the JSON output.
 //!
-//! The schema validator is a tiny hand-rolled JSON reader (the
-//! workspace is zero-dependency): it parses the emitted document and
+//! The schema validator parses the emitted document with the
+//! workspace's one JSON implementation ([`fm_telemetry::json`]) and
 //! asserts the shape CI scripts rely on — required keys, value types,
 //! and per-finding fields.  `fmwalk audit --json` self-validates before
 //! printing, so a malformed report is an internal error (exit 2), never
 //! something a consumer has to discover downstream.
+
+use fm_telemetry::json::{self, escape, Value};
 
 use crate::scan::AuditReport;
 
@@ -118,218 +120,10 @@ pub fn json(report: &AuditReport) -> String {
     s
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// JSON schema check
-
-/// A parsed JSON value, just enough for shape validation.
-#[derive(Debug)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Value> {
-        match self {
-            Value::Obj(kvs) => kvs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "json byte {}: expected `{}`, got `{}`",
-                self.i,
-                c as char,
-                self.b.get(self.i).map(|&b| b as char).unwrap_or('?')
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.lit("true", Value::Bool(true)),
-            Some(b'f') => self.lit("false", Value::Bool(false)),
-            Some(b'n') => self.lit("null", Value::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            other => Err(format!("json byte {}: unexpected {:?}", self.i, other)),
-        }
-    }
-
-    fn lit(&mut self, s: &str, v: Value) -> Result<Value, String> {
-        if self.b[self.i..].starts_with(s.as_bytes()) {
-            self.i += s.len();
-            Ok(v)
-        } else {
-            Err(format!("json byte {}: expected `{s}`", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || *c == b'.' || *c == b'e' || *c == b'E' || *c == b'+' || *c == b'-')
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("json byte {start}: bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .b
-                        .get(self.i)
-                        .ok_or_else(|| "json: truncated escape".to_string())?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .ok_or_else(|| "json: truncated \\u".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        other => {
-                            return Err(format!("json: unknown escape `\\{}`", other as char))
-                        }
-                    }
-                }
-                c => out.push(c as char),
-            }
-        }
-        Err("json: unterminated string".to_string())
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Value::Arr(items));
-                }
-                other => return Err(format!("json byte {}: expected , or ] got {:?}", self.i, other)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.eat(b'{')?;
-        let mut kvs = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Value::Obj(kvs));
-        }
-        loop {
-            self.ws();
-            let k = self.string()?;
-            self.eat(b':')?;
-            let v = self.value()?;
-            kvs.push((k, v));
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Value::Obj(kvs));
-                }
-                other => return Err(format!("json byte {}: expected , or }} got {:?}", self.i, other)),
-            }
-        }
-    }
-}
-
 /// Validates `--json` output against the report schema.  Returns the
 /// first shape violation, or `Ok(())` for a conforming document.
 pub fn validate_json(text: &str) -> Result<(), String> {
-    let mut p = JsonParser {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let doc = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("json byte {}: trailing garbage", p.i));
-    }
+    let doc = json::parse(text)?;
     let need = |key: &str| doc.get(key).ok_or_else(|| format!("missing key `{key}`"));
     let findings = match need("findings")? {
         Value::Arr(a) => a,

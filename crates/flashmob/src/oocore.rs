@@ -6,16 +6,14 @@
 //! through DRAM every iteration would need ~5 GB/s, "below the
 //! capability of today's commodity NVMe SSDs".
 //!
-//! This module implements that extension for first-order uniform walks:
-//! the degree-sorted CSR lives in a file; only the offsets index and the
-//! walker arrays stay in memory.  Each iteration shuffles walkers in
-//! memory exactly as the in-memory engine does, then streams the
-//! adjacency bytes of each partition *that currently hosts walkers* from
-//! disk into a reusable buffer and direct-samples from it.  Because
-//! walkers concentrate on the high-degree head (Table 2), cold
-//! partitions are skipped and the realized read volume per iteration is
-//! typically far below the file size — the sparse-access advantage the
-//! shuffle buys.
+//! This module implements that extension: the degree-sorted CSR lives
+//! in a file, and only the offsets index and the walker arrays stay in
+//! memory.  Two scheduling loops, chosen by the algorithm, share one
+//! block reader and one checkpoint path: DeepWalk streams the partitions
+//! that host walkers (`run_ooc_streaming`); node2vec and PPR, whose step
+//! reads two adjacency lists, sweep pairs of half-budget blocks
+//! (`run_ooc_biblock`).  Running DeepWalk on the pair loop's diagonal
+//! instead was measured and declined (DESIGN.md §14).
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -26,17 +24,20 @@ use fm_graph::relabel::{sort_by_degree, Relabeling};
 use fm_graph::{Csr, GraphError, VertexId};
 use fm_memsim::NullProbe;
 use fm_recover::{
-    load_latest, transient_io, with_retries, BiBlockState, CheckpointSink, FaultyFile,
-    RetryPolicy, WalkSnapshot,
+    load_latest, transient_io, with_retries, BiBlockState, CheckpointSink, CheckpointSpec,
+    FaultyFile, RetryPolicy, WalkSnapshot,
 };
 use fm_rng::{Rng64, Xorshift64Star};
 use fm_telemetry::{Stage, Telemetry, NO_PARTITION, NO_STEP};
 
 use crate::output::WalkOutput;
 use crate::run::{check_snapshot, config_fingerprint, graph_fingerprint, mismatch, EngineKind};
+use crate::sample::{node2vec_reject, AlgoCtx};
 use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
-use crate::walker::{initialize, WalkerInit};
-use crate::{Partition, PartitionMap, RunOptions, SamplePolicy, WalkConfig, WalkError, DEAD};
+use crate::walker::{initialize_from_offsets, WalkerInit};
+use crate::{
+    Partition, PartitionMap, RunOptions, SamplePolicy, WalkAlgorithm, WalkConfig, WalkError, DEAD,
+};
 
 const MAGIC: &[u8; 8] = b"FMDISK1\0";
 
@@ -179,38 +180,6 @@ impl DiskGraph {
     fn targets_base(&self) -> u64 {
         24 + (self.offsets.len() as u64) * 8
     }
-
-    /// Reads the adjacency bytes for the vertex range `[start, end)`
-    /// into `buf` (resized to fit); returns the bytes read.
-    ///
-    /// Generic over the reader so the fault-injection wrapper slots in
-    /// under it; IO errors carry the file path and byte offset.
-    fn read_partition<R: Read + Seek>(
-        &self,
-        file: &mut R,
-        start: VertexId,
-        end: VertexId,
-        buf: &mut Vec<VertexId>,
-    ) -> Result<usize, GraphError> {
-        let lo = self.offsets[start as usize];
-        let hi = self.offsets[end as usize];
-        let bytes = (hi - lo) * 4;
-        buf.resize(hi - lo, 0);
-        let off = self.targets_base() + (lo as u64) * 4;
-        file.seek(SeekFrom::Start(off))
-            .map_err(|e| GraphError::io_at(&self.path, Some(off), e))?;
-        // SAFETY-free byte view: read into a u8 scratch then decode;
-        // avoids unsafe transmutes at a small copy cost.
-        let mut raw = vec![0u8; bytes];
-        file.read_exact(&mut raw)
-            .map_err(|e| GraphError::io_at(&self.path, Some(off), e))?;
-        for (slot, c) in buf.iter_mut().zip(raw.chunks_exact(4)) {
-            let mut le = [0u8; 4];
-            le.copy_from_slice(c);
-            *slot = VertexId::from_le_bytes(le);
-        }
-        Ok(bytes)
-    }
 }
 
 /// Statistics of one out-of-core run.
@@ -231,8 +200,8 @@ pub struct OocStats {
     /// Transient IO errors absorbed by the retry layer (disk reads and
     /// checkpoint writes).
     pub io_retries: u64,
-    /// Bi-block scheduler only: block loads performed (an off-diagonal
-    /// pair loads two blocks, a diagonal pair one).
+    /// Bi-block scheduler only: block reads performed (a block already
+    /// in its buffer, such as a row's block across the row, is not read).
     pub blocks_streamed: u64,
     /// Bi-block scheduler only: pair slots whose boundary bucket held
     /// walkers and were therefore scheduled.
@@ -270,13 +239,10 @@ impl OocStats {
 /// it from this module.
 pub use crate::RunOptions as OocOptions;
 
-/// Walks a disk-resident graph with first-order uniform (DeepWalk)
-/// semantics.
-///
-/// `partition_budget_bytes` bounds each partition's adjacency bytes (and
-/// therefore the streaming buffer); the paper's analysis suggests the L3
-/// capacity.  Only [`crate::WalkAlgorithm::DeepWalk`] is supported out
-/// of core.
+/// Walks a disk-resident graph with DeepWalk, node2vec or PPR (others
+/// fail with [`WalkError::Planning`]).  `partition_budget_bytes` bounds
+/// the adjacency bytes held in memory; the paper's analysis suggests
+/// the L3 capacity.
 pub fn run_ooc(
     disk: &DiskGraph,
     config: &WalkConfig,
@@ -291,39 +257,14 @@ pub fn run_ooc(
     )
 }
 
-/// Places walkers per `config.init` using only in-memory metadata (the
-/// offsets index); shared by the first-order and bi-block paths.
-fn init_positions(disk: &DiskGraph, config: &WalkConfig) -> Result<Vec<VertexId>, WalkError> {
-    let n = disk.vertex_count();
-    let walkers = config.walkers;
-    let init = match &config.init {
-        WalkerInit::Fixed(starts) => {
-            WalkerInit::Fixed(starts.iter().map(|&v| disk.relabel.to_new(v)).collect())
-        }
-        other => other.clone(),
-    };
-    // Uniform-edge init needs degrees only, which we have in memory.
-    match init {
-        WalkerInit::UniformEdge => {
-            let e = disk.edge_count();
-            let mut rng = Xorshift64Star::new(config.seed);
-            Ok((0..walkers)
-                .map(|_| {
-                    let edge = rng.gen_index(e);
-                    (disk.offsets.partition_point(|&o| o <= edge) - 1) as VertexId
-                })
-                .collect())
-        }
-        other => {
-            // Vertex-based inits need no adjacency; a degree-1 dummy CSR
-            // carries the vertex count.
-            let dummy = Csr::from_parts(
-                (0..=n).collect(),
-                (0..n).map(|v| v as VertexId).collect(),
-                None,
-            )?;
-            Ok(initialize(&dummy, &other, walkers, config.seed))
-        }
+/// Places walkers per `config.init` from the in-memory offsets index.
+fn init_positions(disk: &DiskGraph, config: &WalkConfig) -> Vec<VertexId> {
+    let place = |init| initialize_from_offsets(&disk.offsets, init, config.walkers, config.seed);
+    match &config.init {
+        WalkerInit::Fixed(starts) => place(&WalkerInit::Fixed(
+            starts.iter().map(|&v| disk.relabel.to_new(v)).collect(),
+        )),
+        init => place(init),
     }
 }
 
@@ -353,45 +294,301 @@ pub fn run_ooc_with(
             return Err(WalkError::SinkVertex(v as VertexId));
         }
     }
-    match config.algorithm {
-        crate::WalkAlgorithm::DeepWalk => {}
-        crate::WalkAlgorithm::Node2Vec { .. } | crate::WalkAlgorithm::Ppr { .. } => {
-            return run_ooc_biblock(disk, config, partition_budget_bytes, opts, tel);
+    let budget = partition_budget_bytes;
+    // The pair loop cuts half-budget blocks so that any two fit the
+    // budget together.
+    let (engine, bounds) = match config.algorithm {
+        WalkAlgorithm::DeepWalk => (EngineKind::Streaming { budget }, cut_blocks(disk, budget)),
+        WalkAlgorithm::Node2Vec { .. } | WalkAlgorithm::Ppr { .. } => {
+            (EngineKind::BiBlock { budget }, cut_blocks(disk, budget / 2))
         }
         _ => {
             return Err(WalkError::Planning(
                 "out-of-core walking supports DeepWalk, node2vec, and PPR only".into(),
             ))
         }
-    }
+    };
 
-    // Cut the sorted vertex array into partitions under the byte budget.
-    let mut partitions = Vec::new();
+    let wall_start = Instant::now();
+    let start = init_positions(disk, config);
+    if tel.is_on() {
+        tel.ensure_partitions(bounds.len() - 1);
+    }
+    // The block frees the reader's buffers before the output is built.
+    let (rows, mut stats) = {
+        let mut run = OocRun::new(disk, config, engine, &bounds, opts)?;
+        let rows = match engine {
+            EngineKind::Streaming { .. } => run_ooc_streaming(&mut run, &bounds, start, tel)?,
+            _ => run_ooc_biblock(&mut run, &bounds, start, tel)?,
+        };
+        (rows, run.stats)
+    };
+    tel.record_io_retries(stats.io_retries);
+    stats.wall = wall_start.elapsed();
+    let output = WalkOutput::new(rows, config.walkers, disk.relabel.clone());
+    Ok((output, stats))
+}
+
+/// Cuts the sorted vertex array into blocks of at most `budget`
+/// adjacency bytes and returns their boundaries `[0, .., |V|]`.  A
+/// vertex whose adjacency alone exceeds the budget gets a singleton
+/// block: a small budget shortens the blocks, it never fails the run.
+fn cut_blocks(disk: &DiskGraph, budget: usize) -> Vec<usize> {
+    let n = disk.vertex_count();
+    let mut bounds = vec![0];
     let mut start = 0usize;
     while start < n {
-        let budget_edges = (partition_budget_bytes / 4).max(disk.degree(start as VertexId));
+        let budget_edges = (budget / 4).max(disk.degree(start as VertexId));
         let lo = disk.offsets[start];
         let mut end = start + 1;
         while end < n && disk.offsets[end + 1] - lo <= budget_edges {
             end += 1;
         }
-        partitions.push(Partition {
-            start: start as VertexId,
-            end: end as VertexId,
-            policy: SamplePolicy::Direct,
-            group: 0,
-            edges: disk.offsets[end] - lo,
-            uniform_degree: None,
-        });
+        bounds.push(end);
         start = end;
     }
-    let map = PartitionMap::new(&partitions, n);
+    bounds
+}
+
+/// Reads vertex ranges of the on-disk adjacency array into two slots
+/// through the fault-injection and retry layer: slot 0 holds the
+/// streamed partition or a pair's row block, slot 1 the column block.
+/// The byte scratch and the slots are sized for the largest block, so
+/// reads allocate nothing after a slot's first, and a load into a slot
+/// that already holds the range reads nothing.
+struct BlockReader<'a> {
+    disk: &'a DiskGraph,
+    file: FaultyFile<File>,
+    retry: RetryPolicy,
+    /// Edges of the largest block.
+    max_edges: usize,
+    raw: Vec<u8>,
+    /// The vertex range each slot holds (`None` until a read completes).
+    held: [Option<(usize, usize)>; 2],
+    bufs: [Vec<VertexId>; 2],
+}
+
+impl<'a> BlockReader<'a> {
+    fn open(disk: &'a DiskGraph, bounds: &[usize], opts: &RunOptions) -> Result<Self, WalkError> {
+        let file = File::open(&disk.path).map_err(|e| GraphError::io_at(&disk.path, None, e))?;
+        let file = match opts.fault {
+            Some(policy) => FaultyFile::with_policy(file, policy),
+            None => FaultyFile::passthrough(file),
+        };
+        let edges = |b: &[usize]| disk.offsets[b[1]] - disk.offsets[b[0]];
+        let max_edges = bounds.windows(2).map(edges).max().unwrap_or(0);
+        Ok(Self {
+            disk,
+            file,
+            retry: opts.retry,
+            max_edges,
+            raw: vec![0; max_edges * 4],
+            held: [None; 2],
+            bufs: [Vec::new(), Vec::new()],
+        })
+    }
+
+    /// Makes `slot` hold the adjacency of the vertex `range`.  A read is
+    /// attributed to telemetry partition `part` at `step`: an Io span
+    /// and its bytes.  Transient read errors (injected or real) are
+    /// retried with exponential backoff; permanent ones escalate typed.
+    fn load(
+        &mut self,
+        slot: usize,
+        range: (usize, usize),
+        (step, part): (usize, usize),
+        stats: &mut OocStats,
+        tel: &mut Telemetry,
+    ) -> Result<(), WalkError> {
+        if self.held[slot] == Some(range) {
+            return Ok(());
+        }
+        self.held[slot] = None;
+        let io_span = tel.is_on().then(|| tel.now_ns());
+        let t0 = Instant::now();
+        let disk = self.disk;
+        let lo = disk.offsets[range.0];
+        let bytes = (disk.offsets[range.1] - lo) * 4;
+        let off = disk.targets_base() + (lo as u64) * 4;
+        let (file, raw) = (&mut self.file, &mut self.raw[..bytes]);
+        with_retries(
+            &self.retry,
+            &mut stats.io_retries,
+            |e: &GraphError| e.io_source().is_some_and(transient_io),
+            || {
+                file.seek(SeekFrom::Start(off))
+                    .and_then(|_| file.read_exact(raw))
+                    .map_err(|e| GraphError::io_at(&disk.path, Some(off), e))
+            },
+        )?;
+        let buf = &mut self.bufs[slot];
+        buf.clear();
+        buf.reserve(self.max_edges);
+        let decode = |c: &[u8]| VertexId::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        buf.extend(raw.chunks_exact(4).map(decode));
+        self.held[slot] = Some(range);
+        stats.read_time += t0.elapsed();
+        stats.bytes_read += bytes as u64;
+        stats.partitions_read += 1;
+        if let Some(s) = io_span {
+            tel.span_since(Stage::Io, s, step as u32, part as u32);
+            tel.record_partition_bytes(part, bytes as u64);
+        }
+        Ok(())
+    }
+
+    /// `slot`'s adjacency array and the edge index of its first entry.
+    fn block(&self, slot: usize) -> (&[VertexId], usize) {
+        let base = self.held[slot].map_or(0, |(start, _)| self.disk.offsets[start]);
+        (&self.bufs[slot], base)
+    }
+}
+
+/// What both scheduling loops run on: the block reader, the counters
+/// and the checkpoint path (sink, resume directory, and the fingerprints
+/// that pin snapshots to this engine, configuration and graph).
+struct OocRun<'a> {
+    disk: &'a DiskGraph,
+    config: &'a WalkConfig,
+    reader: BlockReader<'a>,
+    stats: OocStats,
+    sink: Option<(&'a CheckpointSpec, CheckpointSink)>,
+    resume_from: Option<&'a Path>,
+    fingerprints: (u64, u64),
+}
+
+impl<'a> OocRun<'a> {
+    fn new(
+        disk: &'a DiskGraph,
+        config: &'a WalkConfig,
+        engine: EngineKind,
+        bounds: &[usize],
+        opts: &'a RunOptions,
+    ) -> Result<Self, WalkError> {
+        let sink = opts
+            .checkpoint
+            .as_ref()
+            .filter(|ck| ck.every > 0)
+            .map(|ck| (ck, CheckpointSink::from_spec(ck)));
+        let resume_from = opts.resume_from.as_deref();
+        let fingerprints = match sink.is_some() || resume_from.is_some() {
+            true => (
+                config_fingerprint(config, engine),
+                graph_fingerprint(&disk.offsets),
+            ),
+            false => (0, 0),
+        };
+        Ok(Self {
+            disk,
+            config,
+            reader: BlockReader::open(disk, bounds, opts)?,
+            stats: OocStats::default(),
+            sink,
+            resume_from,
+            fingerprints,
+        })
+    }
+
+    /// The resume prologue, in one Recovery span: loads the newest
+    /// snapshot, checks it against this run, restores the step count and
+    /// hands the snapshot to the loop's `restore`.  `None` on a fresh run.
+    fn resume<T>(
+        &mut self,
+        tel: &mut Telemetry,
+        restore: impl FnOnce(WalkSnapshot) -> Result<T, WalkError>,
+    ) -> Result<Option<T>, WalkError> {
+        let Some(dir) = self.resume_from else {
+            return Ok(None);
+        };
+        let span = tel.is_on().then(|| tel.now_ns());
+        let (_generation, snap) = load_latest(dir)?;
+        check_snapshot(&snap, self.config, self.fingerprints.0, self.fingerprints.1)?;
+        self.stats.steps_taken = snap.steps_taken;
+        let restored = restore(snap)?;
+        if let Some(s) = span {
+            tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
+        }
+        Ok(Some(restored))
+    }
+
+    /// Checkpoints after `done` iterations or pair slots: on the cadence,
+    /// or at `completion` unless the cadence just wrote.  `fill` adds the
+    /// loop's state to the shared snapshot fields.
+    fn save(
+        &mut self,
+        done: u64,
+        completion: bool,
+        step: usize,
+        tel: &mut Telemetry,
+        fill: impl FnOnce(WalkSnapshot) -> WalkSnapshot,
+    ) -> Result<(), WalkError> {
+        let Some((spec, sink)) = self.sink.as_mut() else {
+            return Ok(());
+        };
+        let every = spec.every as u64;
+        if done.is_multiple_of(every) == completion {
+            return Ok(());
+        }
+        let generation = done.div_ceil(every);
+        let span = tel.is_on().then(|| tel.now_ns());
+        let snap = fill(WalkSnapshot {
+            seed: self.config.seed,
+            iter_next: done,
+            steps_total: self.config.max_steps() as u64,
+            walkers: self.config.walkers as u64,
+            steps_taken: self.stats.steps_taken,
+            config_fingerprint: self.fingerprints.0,
+            graph_fingerprint: self.fingerprints.1,
+            ..WalkSnapshot::default()
+        });
+        let retries_before = sink.retries;
+        sink.save(generation, &snap)?;
+        self.stats.io_retries += sink.retries - retries_before;
+        if let Some(s) = span {
+            tel.span_since(Stage::Checkpoint, s, step as u32, NO_PARTITION);
+        }
+        if spec.halt_after == Some(generation) {
+            return Err(WalkError::Halted { generation });
+        }
+        Ok(())
+    }
+}
+
+/// The partition-streaming loop for first-order (DeepWalk) walks;
+/// returns the iteration-major rows.
+///
+/// Each iteration shuffles walkers by partition in memory exactly as the
+/// in-memory engine does, then streams the adjacency of each partition
+/// *that currently hosts walkers* and direct-samples from it.  Because
+/// walkers concentrate on the high-degree head (Table 2), cold
+/// partitions are skipped and the realized read volume per iteration is
+/// typically far below the file size — the sparse-access advantage the
+/// shuffle buys.  Checkpoints land on iteration boundaries.
+fn run_ooc_streaming(
+    run: &mut OocRun<'_>,
+    bounds: &[usize],
+    start: Vec<VertexId>,
+    tel: &mut Telemetry,
+) -> Result<Vec<Vec<VertexId>>, WalkError> {
+    let (disk, config) = (run.disk, run.config);
+    let partitions: Vec<Partition> = bounds
+        .windows(2)
+        .map(|b| Partition {
+            start: b[0] as VertexId,
+            end: b[1] as VertexId,
+            policy: SamplePolicy::Direct,
+            group: 0,
+            edges: disk.offsets[b[1]] - disk.offsets[b[0]],
+            uniform_degree: None,
+        })
+        .collect();
+    let parts = partitions.len();
+    let map = PartitionMap::new(&partitions, disk.vertex_count());
     let shuffler = Shuffler::single_level(&map);
 
-    let wall_start = Instant::now();
     let steps = config.max_steps();
     let walkers = config.walkers;
-    let mut w = init_positions(disk, config)?;
+    let mut w = start;
     let mut w_next = vec![0 as VertexId; walkers];
     let mut sw = vec![0 as VertexId; walkers];
     let mut snext = vec![0 as VertexId; walkers];
@@ -400,52 +597,19 @@ pub fn run_ooc_with(
     if config.record_paths {
         rows.push(w.clone());
     }
-
-    let mut stats = OocStats::default();
-    let file = File::open(&disk.path).map_err(|e| GraphError::io_at(&disk.path, None, e))?;
-    let mut file = match opts.fault {
-        Some(policy) => FaultyFile::with_policy(file, policy),
-        None => FaultyFile::passthrough(file),
-    };
-    let mut buf: Vec<VertexId> = Vec::new();
     let mut probe = NullProbe;
-    if tel.is_on() {
-        tel.ensure_partitions(partitions.len());
-    }
 
-    // Checkpoint sink and the tags that pin snapshots to this engine.
-    let mut sink = opts
-        .checkpoint
-        .as_ref()
-        .filter(|ck| ck.every > 0)
-        .map(CheckpointSink::from_spec);
-    let (config_fp, graph_fp) = if sink.is_some() || opts.resume_from.is_some() {
-        let engine = EngineKind::Streaming {
-            budget: partition_budget_bytes,
-        };
-        (config_fingerprint(config, engine), graph_fingerprint(&disk.offsets))
-    } else {
-        (0, 0)
-    };
-
-    // Resume: replace the fresh walker state with the snapshot's.
     let mut start_iter = 0usize;
-    if let Some(dir) = opts.resume_from.as_ref() {
-        let span = tel.is_on().then(|| tel.now_ns());
-        let (_generation, snap) = load_latest(dir)?;
-        check_snapshot(&snap, config, config_fp, graph_fp)?;
-        if snap.ps.len() != partitions.len() {
-            return Err(mismatch("snapshot partition layout does not fit this run"));
-        }
+    let resumed = run.resume(tel, |snap| match snap.ps.len() == parts {
+        true => Ok(snap),
+        false => Err(mismatch("snapshot partition layout does not fit this run")),
+    })?;
+    if let Some(snap) = resumed {
         w = snap.w;
         if config.record_paths {
             rows = snap.rows;
         }
-        stats.steps_taken = snap.steps_taken;
         start_iter = snap.iter_next as usize;
-        if let Some(s) = span {
-            tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
-        }
     }
 
     for iter in start_iter..steps {
@@ -464,55 +628,37 @@ pub fn run_ooc_with(
         if let Some(s) = span0 {
             tel.span_since(Stage::Shuffle, s, iter as u32, NO_PARTITION);
         }
-        let dead_start = scratch.offsets[partitions.len()] as usize;
+        let dead_start = scratch.offsets[parts] as usize;
         snext[dead_start..].fill(DEAD);
 
-        for (pi, part) in partitions.iter().enumerate() {
+        for pi in 0..parts {
             let (a, b) = (
                 scratch.offsets[pi] as usize,
                 scratch.offsets[pi + 1] as usize,
             );
             if a == b {
-                stats.partitions_skipped += 1;
+                run.stats.partitions_skipped += 1;
                 continue;
             }
-            // Stream this partition's adjacency bytes from disk.
-            let io_span = traced.then(|| tel.now_ns());
-            let t0 = Instant::now();
-            // Transient read errors (injected or real) are retried with
-            // exponential backoff; permanent ones escalate typed.
-            let bytes = with_retries(
-                &opts.retry,
-                &mut stats.io_retries,
-                |e: &GraphError| e.io_source().is_some_and(transient_io),
-                || disk.read_partition(&mut file, part.start, part.end, &mut buf),
-            )?;
-            stats.read_time += t0.elapsed();
-            stats.bytes_read += bytes as u64;
-            stats.partitions_read += 1;
-            if let Some(s) = io_span {
-                tel.span_since(Stage::Io, s, iter as u32, pi as u32);
-                tel.record_partition_bytes(pi, bytes as u64);
-            }
+            let range = (bounds[pi], bounds[pi + 1]);
+            run.reader.load(0, range, (iter, pi), &mut run.stats, tel)?;
+            let (buf, base) = run.reader.block(0);
 
             let sample_span = traced.then(|| tel.now_ns());
-            let base = disk.offsets[part.start as usize];
             let mut rng =
                 Xorshift64Star::new(crate::engine::partition_stream_id(config.seed, iter, pi));
             for j in a..b {
                 let v = sw[j];
                 let lo = disk.offsets[v as usize] - base;
-                let d = disk.degree(v);
-                let k = rng.gen_index(d);
-                snext[j] = buf[lo + k];
-                stats.steps_taken += 1;
+                snext[j] = buf[lo + rng.gen_index(disk.degree(v))];
             }
+            run.stats.steps_taken += (b - a) as u64;
             if let Some(s) = sample_span {
                 tel.span_since(Stage::Sample, s, iter as u32, pi as u32);
                 tel.record_partition_step(pi, (b - a) as u64, false);
             }
         }
-        tel.tick(iter + 1, steps, stats.steps_taken);
+        tel.tick(iter + 1, steps, run.stats.steps_taken);
 
         shuffler.gather(
             &w,
@@ -531,47 +677,15 @@ pub fn run_ooc_with(
 
         // Checkpoint at the epoch boundary: the walker array here is
         // exactly the input of iteration `iter + 1`.
-        if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
-            if (iter + 1) % ck.every == 0 {
-                let span = tel.is_on().then(|| tel.now_ns());
-                let generation = ((iter + 1) / ck.every) as u64;
-                let snap = WalkSnapshot {
-                    seed: config.seed,
-                    iter_next: (iter + 1) as u64,
-                    steps_total: steps as u64,
-                    walkers: walkers as u64,
-                    steps_taken: stats.steps_taken,
-                    config_fingerprint: config_fp,
-                    graph_fingerprint: graph_fp,
-                    per_partition_steps: vec![0; partitions.len()],
-                    w: w.clone(),
-                    prev: Vec::new(),
-                    visits: Vec::new(),
-                    ps: vec![None; partitions.len()],
-                    rows: rows.clone(),
-                    biblock: None,
-                };
-                let retries_before = sink.retries;
-                sink.save(generation, &snap)?;
-                stats.io_retries += sink.retries - retries_before;
-                if let Some(s) = span {
-                    tel.span_since(Stage::Checkpoint, s, iter as u32, NO_PARTITION);
-                }
-                if ck.halt_after == Some(generation) {
-                    return Err(WalkError::Halted { generation });
-                }
-            }
-        }
+        run.save((iter + 1) as u64, false, iter, tel, |base| WalkSnapshot {
+            per_partition_steps: vec![0; parts],
+            w: w.clone(),
+            ps: vec![None; parts],
+            rows: rows.clone(),
+            ..base
+        })?;
     }
-
-    tel.record_io_retries(stats.io_retries);
-    stats.wall = wall_start.elapsed();
-    let output = if config.record_paths {
-        WalkOutput::new(rows, walkers, disk.relabel.clone())
-    } else {
-        WalkOutput::new(vec![w], walkers, disk.relabel.clone())
-    };
-    Ok((output, stats))
+    Ok(if config.record_paths { rows } else { vec![w] })
 }
 
 /// Flat triangular index of the block pair `(i, j)` with `i <= j`
@@ -581,58 +695,84 @@ fn pair_index(i: usize, j: usize, blocks: usize) -> usize {
     i * (2 * blocks - i + 1) / 2 + (j - i)
 }
 
-/// Streams one block's adjacency array from disk through the
-/// fault-injection/retry layer, attributing the bytes and an Io span to
-/// the block's telemetry partition.
-#[allow(clippy::too_many_arguments)]
-fn load_block(
-    disk: &DiskGraph,
-    file: &mut FaultyFile<File>,
-    retry: &RetryPolicy,
-    start: VertexId,
-    end: VertexId,
-    buf: &mut Vec<VertexId>,
-    epoch: usize,
-    blk: usize,
-    stats: &mut OocStats,
-    tel: &mut Telemetry,
+/// Checks a snapshot's bi-block scheduler state against this run.
+fn check_biblock(
+    snap: &WalkSnapshot,
+    bb: &BiBlockState,
+    config: &WalkConfig,
+    nblocks: usize,
+    n_pairs: usize,
 ) -> Result<(), WalkError> {
-    let io_span = tel.is_on().then(|| tel.now_ns());
-    let t0 = Instant::now();
-    // Transient read errors (injected or real) are retried with
-    // exponential backoff; permanent ones escalate typed.
-    let bytes = with_retries(
-        retry,
-        &mut stats.io_retries,
-        |e: &GraphError| e.io_source().is_some_and(transient_io),
-        || disk.read_partition(file, start, end, buf),
-    )?;
-    stats.read_time += t0.elapsed();
-    stats.bytes_read += bytes as u64;
-    stats.blocks_streamed += 1;
-    stats.partitions_read += 1;
-    if let Some(s) = io_span {
-        tel.span_since(Stage::Io, s, epoch as u32, blk as u32);
-        tel.record_partition_bytes(blk, bytes as u64);
+    let (walkers, steps) = (config.walkers, config.max_steps());
+    if snap.prev.len() != walkers
+        || bb.done.len() != walkers
+        || bb.blocks as usize != nblocks
+        || bb.buckets.len() != n_pairs
+        || bb.cursor as usize >= n_pairs
+        || bb.done.iter().any(|&d| d as usize > steps)
+    {
+        return Err(mismatch("snapshot shape does not fit this run"));
+    }
+    let paths_fit = if config.record_paths {
+        bb.paths.len() == walkers
+            && (bb.paths.iter().zip(&bb.done)).all(|(p, &d)| p.len() == d as usize + 1)
+    } else {
+        bb.paths.is_empty()
+    };
+    if !paths_fit {
+        return Err(mismatch("snapshot path rows are inconsistent"));
+    }
+    // Every unfinished walker must be parked in exactly one bucket.
+    let mut seen = vec![false; walkers];
+    for &k in bb.buckets.iter().flatten() {
+        let k = k as usize;
+        if k >= walkers || seen[k] || bb.done[k] as usize >= steps {
+            return Err(mismatch("snapshot boundary buckets are inconsistent"));
+        }
+        seen[k] = true;
+    }
+    if (seen.iter().zip(&bb.done)).any(|(&parked, &d)| !parked && (d as usize) < steps) {
+        return Err(mismatch("snapshot boundary buckets are inconsistent"));
     }
     Ok(())
 }
 
+/// The bi-block snapshot: `base` plus the walker and scheduler state,
+/// resuming at pair slot `cursor` of sweep `epoch`.
+fn biblock_snapshot(
+    base: WalkSnapshot,
+    cur: &[VertexId],
+    prev: &[VertexId],
+    bb: &BiBlockState,
+    (epoch, cursor): (usize, usize),
+) -> WalkSnapshot {
+    let (epoch, cursor) = (epoch as u64, cursor as u64);
+    WalkSnapshot {
+        w: cur.to_vec(),
+        prev: prev.to_vec(),
+        biblock: Some(BiBlockState {
+            epoch,
+            cursor,
+            ..bb.clone()
+        }),
+        ..base
+    }
+}
+
 /// GraSorw-style triangular bi-block scheduling for second-order
-/// (node2vec) and origin-stateful (PPR) walks over a disk-resident CSR.
+/// (node2vec) and origin-stateful (PPR) walks; returns the
+/// iteration-major rows.
 ///
-/// The sorted vertex array is cut into blocks of at most *half* the
-/// byte budget, so a block **pair** always fits in the configured
-/// buffer; a hub vertex whose adjacency alone exceeds the half-budget
-/// gets a singleton block — the scheduler degrades to smaller pairs
-/// instead of overrunning the budget.  Each epoch sweeps the upper
-/// triangle of block pairs `(i, j)`, `i <= j`; a walker is *resident*
-/// while both its `prev` and `cur` adjacency lookups land in the
-/// loaded pair, steps repeatedly while resident, and parks into the
+/// The blocks hold at most *half* the byte budget each, so a block
+/// **pair** always fits in the configured buffer.  Each epoch sweeps
+/// the upper triangle of block pairs `(i, j)`, `i <= j`; a walker is
+/// *resident* while both its `prev` and `cur` adjacency lookups land in
+/// the loaded pair, steps repeatedly while resident, and parks into the
 /// boundary bucket of its next pair when a step crosses out.  PPR
 /// walkers read only the current vertex's adjacency (the origin rides
 /// in the `prev` lane and needs no lookup), so they live on the
-/// diagonal and off-diagonal slots stay empty.
+/// diagonal and off-diagonal slots stay empty.  Row `i`'s block stays
+/// in the reader across the row, so it is read once per row.
 ///
 /// Determinism and crash safety: the RNG stream of a pair slot is
 /// `partition_stream_id(seed, epoch, slot)`, restarted at each slot,
@@ -641,51 +781,24 @@ fn load_block(
 /// fire on a pair-slot cadence (`pairs_done % every`), which counts
 /// empty slots too and is therefore data-independent within an epoch.
 fn run_ooc_biblock(
-    disk: &DiskGraph,
-    config: &WalkConfig,
-    partition_budget_bytes: usize,
-    opts: &RunOptions,
+    run: &mut OocRun<'_>,
+    bounds: &[usize],
+    start: Vec<VertexId>,
     tel: &mut Telemetry,
-) -> Result<(WalkOutput, OocStats), WalkError> {
-    let n = disk.vertex_count();
+) -> Result<Vec<Vec<VertexId>>, WalkError> {
+    let (disk, config) = (run.disk, run.config);
     let steps = config.max_steps();
     let walkers = config.walkers;
-    let is_ppr = matches!(config.algorithm, crate::WalkAlgorithm::Ppr { .. });
-    let (p_ret, q_inout, bound, bound_min, alpha) = match config.algorithm {
-        crate::WalkAlgorithm::Node2Vec { p, q } => (
-            p,
-            q,
-            config.algorithm.node2vec_bound(),
-            (1.0 / p).min(1.0).min(1.0 / q),
-            0.0,
-        ),
-        crate::WalkAlgorithm::Ppr { alpha } => (0.0, 0.0, 1.0, 1.0, alpha),
-        _ => unreachable!("bi-block scheduler runs node2vec and PPR only"),
-    };
+    let algo = config.algorithm;
+    let is_ppr = matches!(algo, WalkAlgorithm::Ppr { .. });
+    let ctx = AlgoCtx::new(algo, config.stop, None);
 
-    // Cut the sorted vertex array into half-budget blocks.
-    let half_budget = partition_budget_bytes / 2;
-    let mut block_start: Vec<usize> = Vec::new();
-    {
-        let mut start = 0usize;
-        while start < n {
-            let budget_edges = (half_budget / 4)
-                .max(disk.degree(start as VertexId))
-                .max(1);
-            let lo = disk.offsets[start];
-            let mut end = start + 1;
-            while end < n && disk.offsets[end + 1] - lo <= budget_edges {
-                end += 1;
-            }
-            block_start.push(start);
-            start = end;
-        }
-    }
-    let nblocks = block_start.len();
-    let n_pairs = nblocks * (nblocks + 1) / 2;
-    let block_of =
-        |v: VertexId| -> usize { block_start.partition_point(|&s| s <= v as usize) - 1 };
-    let block_end = |b: usize| -> usize { block_start.get(b + 1).copied().unwrap_or(n) };
+    let nblocks = bounds.len() - 1;
+    let pairs: Vec<(usize, usize)> = (0..nblocks)
+        .flat_map(|i| (i..nblocks).map(move |j| (i, j)))
+        .collect();
+    let n_pairs = pairs.len();
+    let block_of = |v: VertexId| -> usize { bounds.partition_point(|&s| s <= v as usize) - 1 };
     // The pair slot a walker waits in for its next step.
     let pair_of = |cur: VertexId, prev: VertexId| -> usize {
         let bc = block_of(cur);
@@ -693,130 +806,51 @@ fn run_ooc_biblock(
             return pair_index(bc, bc, nblocks);
         }
         let bp = block_of(prev);
-        let (a, b) = if bp <= bc { (bp, bc) } else { (bc, bp) };
-        pair_index(a, b, nblocks)
+        pair_index(bp.min(bc), bp.max(bc), nblocks)
     };
 
-    let wall_start = Instant::now();
-    let mut cur = init_positions(disk, config)?;
-    // `prevv` carries the node2vec predecessor (DEAD before the first,
-    // first-order step) or the PPR origin.
-    let mut prevv: Vec<VertexId> = if is_ppr {
-        cur.clone()
-    } else {
-        vec![DEAD; walkers]
-    };
-    let mut done: Vec<u32> = vec![0; walkers];
-    let mut paths: Vec<Vec<VertexId>> = if config.record_paths {
-        cur.iter().map(|&v| vec![v]).collect()
-    } else {
-        Vec::new()
-    };
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_pairs];
-    let mut remaining = if steps == 0 { 0 } else { walkers };
-    let mut parked_now: u64 = 0;
-    let mut stats = OocStats::default();
-    let mut epoch = 0usize;
-    let mut start_slot = 0usize;
-    let mut pairs_done = 0u64;
-
-    let file = File::open(&disk.path).map_err(|e| GraphError::io_at(&disk.path, None, e))?;
-    let mut file = match opts.fault {
-        Some(policy) => FaultyFile::with_policy(file, policy),
-        None => FaultyFile::passthrough(file),
-    };
-    if tel.is_on() {
-        tel.ensure_partitions(nblocks);
-    }
-    let mut sink = opts
-        .checkpoint
-        .as_ref()
-        .filter(|ck| ck.every > 0)
-        .map(CheckpointSink::from_spec);
-    let (config_fp, graph_fp) = if sink.is_some() || opts.resume_from.is_some() {
-        let engine = EngineKind::BiBlock {
-            budget: partition_budget_bytes,
-        };
-        (config_fingerprint(config, engine), graph_fingerprint(&disk.offsets))
-    } else {
-        (0, 0)
-    };
-
-    if let Some(dir) = opts.resume_from.as_ref() {
-        let span = tel.is_on().then(|| tel.now_ns());
-        let (_generation, mut snap) = load_latest(dir)?;
-        check_snapshot(&snap, config, config_fp, graph_fp)?;
-        let bb = snap
-            .biblock
-            .take()
+    // `prev` carries the node2vec predecessor (DEAD before the first,
+    // first-order step) or the PPR origin; `bb` the per-walker step
+    // counts, the parked buckets and the walker-major paths.
+    let resumed = run.resume(tel, |mut snap| {
+        let bb = (snap.biblock.take())
             .ok_or_else(|| mismatch("snapshot carries no bi-block scheduler state"))?;
-        if snap.prev.len() != walkers
-            || bb.done.len() != walkers
-            || bb.blocks as usize != nblocks
-            || bb.buckets.len() != n_pairs
-            || bb.cursor as usize >= n_pairs
-            || bb.done.iter().any(|&d| d as usize > steps)
-        {
-            return Err(mismatch("snapshot shape does not fit this run"));
-        }
-        if config.record_paths {
-            if bb.paths.len() != walkers
-                || bb
-                    .paths
-                    .iter()
-                    .zip(&bb.done)
-                    .any(|(p, &d)| p.len() != d as usize + 1)
-            {
-                return Err(mismatch("snapshot path rows are inconsistent"));
+        check_biblock(&snap, &bb, config, nblocks, n_pairs)?;
+        Ok((snap.w, snap.prev, bb, snap.iter_next))
+    })?;
+    let (mut cur, mut prev, mut bb, mut pairs_done) = match resumed {
+        Some(state) => state,
+        None => {
+            // Fresh start: park every walker in its home bucket.
+            let prev = if is_ppr {
+                start.clone()
+            } else {
+                vec![DEAD; walkers]
+            };
+            let parked = if steps == 0 { 0 } else { walkers };
+            let mut buckets = vec![Vec::new(); n_pairs];
+            for k in 0..parked {
+                buckets[pair_of(start[k], prev[k])].push(k as u32);
             }
-        } else if !bb.paths.is_empty() {
-            return Err(mismatch("snapshot path rows are inconsistent"));
+            (run.stats.walkers_parked, run.stats.peak_parked) = (parked as u64, parked as u64);
+            let paths = match config.record_paths {
+                true => start.iter().map(|&v| vec![v]).collect(),
+                false => Vec::new(),
+            };
+            let bb = BiBlockState {
+                blocks: nblocks as u64,
+                done: vec![0; walkers],
+                buckets,
+                paths,
+                ..BiBlockState::default()
+            };
+            (start, prev, bb, 0)
         }
-        // Every unfinished walker must be parked in exactly one bucket.
-        let mut seen = vec![false; walkers];
-        let mut parked = 0u64;
-        for bucket in &bb.buckets {
-            for &k in bucket {
-                let k = k as usize;
-                if k >= walkers || seen[k] || bb.done[k] as usize >= steps {
-                    return Err(mismatch("snapshot boundary buckets are inconsistent"));
-                }
-                seen[k] = true;
-                parked += 1;
-            }
-        }
-        let unfinished = bb.done.iter().filter(|&&d| (d as usize) < steps).count();
-        if parked != unfinished as u64 {
-            return Err(mismatch("snapshot boundary buckets are inconsistent"));
-        }
-        cur = snap.w;
-        prevv = snap.prev;
-        done = bb.done;
-        buckets = bb.buckets;
-        if config.record_paths {
-            paths = bb.paths;
-        }
-        parked_now = parked;
-        remaining = unfinished;
-        stats.steps_taken = snap.steps_taken;
-        pairs_done = snap.iter_next;
-        epoch = bb.epoch as usize;
-        start_slot = bb.cursor as usize;
-        if let Some(s) = span {
-            tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
-        }
-    } else if steps > 0 {
-        // Fresh start: park every walker in its home bucket.
-        for (k, (&c, &p)) in cur.iter().zip(&prevv).enumerate() {
-            buckets[pair_of(c, p)].push(k as u32);
-        }
-        parked_now = walkers as u64;
-        stats.walkers_parked = walkers as u64;
-        stats.peak_parked = walkers as u64;
-    }
+    };
+    let mut remaining = bb.done.iter().filter(|&&d| (d as usize) < steps).count();
+    let mut parked = bb.buckets.iter().map(Vec::len).sum::<usize>() as u64;
+    let (mut epoch, mut first_slot) = (bb.epoch as usize, bb.cursor as usize);
 
-    let mut buf_i: Vec<VertexId> = Vec::new();
-    let mut buf_j: Vec<VertexId> = Vec::new();
     'sweep: while remaining > 0 {
         // Every unfinished walker's own pair is visited once per sweep
         // and steps it at least once, so epochs are bounded by steps.
@@ -824,273 +858,139 @@ fn run_ooc_biblock(
             epoch <= steps,
             "bi-block sweep failed to converge: epoch {epoch} of a {steps}-step walk"
         );
-        let mut slot = 0usize;
-        for i in 0..nblocks {
-            for j in i..nblocks {
-                let s = slot;
-                slot += 1;
-                if s < start_slot {
-                    continue;
+        for (s, &(i, j)) in pairs.iter().enumerate().skip(first_slot) {
+            let bucket = std::mem::take(&mut bb.buckets[s]);
+            if bucket.is_empty() {
+                run.stats.pairs_skipped += 1;
+                run.stats.partitions_skipped += 1;
+            } else {
+                parked -= bucket.len() as u64;
+                run.stats.pairs_scheduled += 1;
+                let reader = &mut run.reader;
+                let (row, col) = ((bounds[i], bounds[i + 1]), (bounds[j], bounds[j + 1]));
+                reader.load(0, row, (epoch, i), &mut run.stats, tel)?;
+                if j != i {
+                    reader.load(1, col, (epoch, j), &mut run.stats, tel)?;
                 }
-                let bucket = std::mem::take(&mut buckets[s]);
-                if bucket.is_empty() {
-                    stats.pairs_skipped += 1;
-                    stats.partitions_skipped += 1;
-                } else {
-                    parked_now -= bucket.len() as u64;
-                    stats.pairs_scheduled += 1;
-                    load_block(
-                        disk,
-                        &mut file,
-                        &opts.retry,
-                        block_start[i] as VertexId,
-                        block_end(i) as VertexId,
-                        &mut buf_i,
-                        epoch,
-                        i,
-                        &mut stats,
-                        tel,
-                    )?;
-                    if j != i {
-                        load_block(
-                            disk,
-                            &mut file,
-                            &opts.retry,
-                            block_start[j] as VertexId,
-                            block_end(j) as VertexId,
-                            &mut buf_j,
-                            epoch,
-                            j,
-                            &mut stats,
-                            tel,
-                        )?;
-                    }
-                    let sample_span = tel.is_on().then(|| tel.now_ns());
-                    let mut rng = Xorshift64Star::new(crate::engine::partition_stream_id(
-                        config.seed,
-                        epoch,
-                        s,
-                    ));
-                    let mut slot_steps = 0u64;
-                    let base_i = disk.offsets[block_start[i]];
-                    let base_j = disk.offsets[block_start[j]];
-                    for &kw in &bucket {
-                        let k = kw as usize;
-                        // Step while the walker's lookups stay resident.
-                        loop {
-                            let v = cur[k];
-                            let bv = block_of(v);
-                            let (vbuf, vbase) = if bv == i {
-                                (&buf_i, base_i)
-                            } else {
-                                (&buf_j, base_j)
-                            };
-                            let lo = disk.offsets[v as usize] - vbase;
-                            let d = disk.degree(v);
-                            let adj = &vbuf[lo..lo + d];
-                            let next = if is_ppr {
-                                // Restart coin first: a teleport reads no
-                                // edge at all (mirrors the in-memory
-                                // sampler and the PPR oracle).
-                                if rng.next_f64() < alpha {
-                                    prevv[k]
-                                } else {
-                                    adj[rng.gen_index(d)]
-                                }
-                            } else if prevv[k] == DEAD {
-                                // First transition of a node2vec walker:
-                                // first-order uniform, matching the
-                                // oracle's edge-chain start.
-                                adj[rng.gen_index(d)]
-                            } else {
-                                let t = prevv[k];
-                                let bt = block_of(t);
-                                let (tbuf, tbase) = if bt == i {
-                                    (&buf_i, base_i)
-                                } else {
-                                    (&buf_j, base_j)
+                let ((buf_i, base_i), (buf_j, base_j)) = (reader.block(0), reader.block(1));
+                // A resident vertex's adjacency within the loaded pair.
+                let adj = |v: VertexId| -> &[VertexId] {
+                    let (buf, base) = match block_of(v) == i {
+                        true => (buf_i, base_i),
+                        false => (buf_j, base_j),
+                    };
+                    let lo = disk.offsets[v as usize] - base;
+                    &buf[lo..lo + disk.degree(v)]
+                };
+                let sample_span = tel.is_on().then(|| tel.now_ns());
+                let stream = crate::engine::partition_stream_id(config.seed, epoch, s);
+                let mut rng = Xorshift64Star::new(stream);
+                let mut slot_steps = 0u64;
+                for &kw in &bucket {
+                    let k = kw as usize;
+                    // Step while the walker's lookups stay resident.
+                    loop {
+                        let (v, t) = (cur[k], prev[k]);
+                        let vadj = adj(v);
+                        let d = vadj.len();
+                        let next = match algo {
+                            // Restart coin first, flipped in the guard: a
+                            // teleport reads no edge, as in the PPR oracle.
+                            WalkAlgorithm::Ppr { alpha } if rng.next_f64() < alpha => t,
+                            // The in-memory samplers' rejection loop.
+                            WalkAlgorithm::Node2Vec { p, q } if t != DEAD => {
+                                let tadj = adj(t);
+                                let propose = |rng: &mut Xorshift64Star, _: &mut NullProbe| {
+                                    vadj[rng.gen_index(d)]
                                 };
-                                let tlo = disk.offsets[t as usize] - tbase;
-                                let tadj = &tbuf[tlo..tlo + disk.degree(t)];
-                                let mut attempts = 0;
-                                // Stratified rejection, mirroring the
-                                // in-memory sampler: a draw below the
-                                // minimum weight accepts any candidate
-                                // with zero connectivity scans; the
-                                // attempt cap is the termination
-                                // backstop.
-                                loop {
-                                    let cand = adj[rng.gen_index(d)];
-                                    attempts += 1;
-                                    let x = rng.next_f64() * bound;
-                                    if x < bound_min || attempts >= 64 {
-                                        break cand;
-                                    }
-                                    let weight = if cand == t {
-                                        1.0 / p_ret
-                                    } else if tadj.contains(&cand) {
-                                        1.0
-                                    } else {
-                                        1.0 / q_inout
-                                    };
-                                    if x < weight {
-                                        break cand;
-                                    }
-                                }
-                            };
-                            if !is_ppr {
-                                prevv[k] = v;
+                                let weight = |cand, _: &mut NullProbe| match cand {
+                                    c if c == t => 1.0 / p,
+                                    c if tadj.contains(&c) => 1.0,
+                                    _ => 1.0 / q,
+                                };
+                                node2vec_reject(&ctx, &mut rng, &mut NullProbe, propose, weight)
                             }
-                            cur[k] = next;
-                            done[k] += 1;
-                            slot_steps += 1;
-                            if config.record_paths {
-                                paths[k].push(next);
-                            }
-                            if done[k] as usize >= steps {
-                                remaining -= 1;
-                                break;
-                            }
-                            let bc = block_of(cur[k]);
-                            let resident = (bc == i || bc == j)
-                                && (is_ppr || {
-                                    let bp = block_of(prevv[k]);
-                                    bp == i || bp == j
-                                });
-                            if !resident {
-                                buckets[pair_of(cur[k], prevv[k])].push(kw);
-                                parked_now += 1;
-                                stats.walkers_parked += 1;
-                                stats.peak_parked = stats.peak_parked.max(parked_now);
-                                break;
-                            }
-                        }
-                    }
-                    stats.steps_taken += slot_steps;
-                    if let Some(sp) = sample_span {
-                        tel.span_since(Stage::Sample, sp, epoch as u32, i as u32);
-                        tel.record_partition_step(i, slot_steps, false);
-                    }
-                }
-
-                // Pair-slot cadence checkpointing: `pairs_done` counts
-                // empty slots too, so kill generations are deterministic
-                // and data-independent within an epoch.
-                pairs_done += 1;
-                if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
-                    if pairs_done.is_multiple_of(ck.every as u64) {
-                        let span = tel.is_on().then(|| tel.now_ns());
-                        let generation = pairs_done / ck.every as u64;
-                        let (next_epoch, next_cursor) = if s + 1 == n_pairs {
-                            (epoch as u64 + 1, 0)
-                        } else {
-                            (epoch as u64, s as u64 + 1)
+                            // A PPR edge, or a node2vec walker's first step:
+                            // uniform, as the oracle's edge-chain start.
+                            _ => vadj[rng.gen_index(d)],
                         };
-                        let snap = WalkSnapshot {
-                            seed: config.seed,
-                            iter_next: pairs_done,
-                            steps_total: steps as u64,
-                            walkers: walkers as u64,
-                            steps_taken: stats.steps_taken,
-                            config_fingerprint: config_fp,
-                            graph_fingerprint: graph_fp,
-                            per_partition_steps: Vec::new(),
-                            w: cur.clone(),
-                            prev: prevv.clone(),
-                            visits: Vec::new(),
-                            ps: Vec::new(),
-                            rows: Vec::new(),
-                            biblock: Some(BiBlockState {
-                                epoch: next_epoch,
-                                cursor: next_cursor,
-                                blocks: nblocks as u64,
-                                done: done.clone(),
-                                buckets: buckets.clone(),
-                                paths: paths.clone(),
-                            }),
-                        };
-                        let retries_before = sink.retries;
-                        sink.save(generation, &snap)?;
-                        stats.io_retries += sink.retries - retries_before;
-                        if let Some(sp) = span {
-                            tel.span_since(Stage::Checkpoint, sp, epoch as u32, NO_PARTITION);
+                        if !is_ppr {
+                            prev[k] = v;
                         }
-                        if ck.halt_after == Some(generation) {
-                            return Err(WalkError::Halted { generation });
+                        cur[k] = next;
+                        bb.done[k] += 1;
+                        slot_steps += 1;
+                        if config.record_paths {
+                            bb.paths[k].push(next);
+                        }
+                        if bb.done[k] as usize >= steps {
+                            remaining -= 1;
+                            break;
+                        }
+                        let bc = block_of(next);
+                        let resident = (bc == i || bc == j)
+                            && (is_ppr || {
+                                let bp = block_of(prev[k]);
+                                bp == i || bp == j
+                            });
+                        if !resident {
+                            bb.buckets[pair_of(next, prev[k])].push(kw);
+                            parked += 1;
+                            run.stats.walkers_parked += 1;
+                            run.stats.peak_parked = run.stats.peak_parked.max(parked);
+                            break;
                         }
                     }
                 }
-                if remaining == 0 {
-                    break 'sweep;
+                run.stats.steps_taken += slot_steps;
+                if let Some(sp) = sample_span {
+                    tel.span_since(Stage::Sample, sp, epoch as u32, i as u32);
+                    tel.record_partition_step(i, slot_steps, false);
                 }
             }
+
+            // Pair-slot cadence checkpointing: `pairs_done` counts empty
+            // slots too, so kill generations are deterministic and
+            // data-independent within an epoch.
+            pairs_done += 1;
+            let resume_at = match s + 1 == n_pairs {
+                true => (epoch + 1, 0),
+                false => (epoch, s + 1),
+            };
+            run.save(pairs_done, false, epoch, tel, |base| {
+                biblock_snapshot(base, &cur, &prev, &bb, resume_at)
+            })?;
+            if remaining == 0 {
+                break 'sweep;
+            }
         }
-        start_slot = 0;
+        first_slot = 0;
         epoch += 1;
-        tel.tick(epoch, steps, stats.steps_taken);
+        tel.tick(epoch, steps, run.stats.steps_taken);
     }
 
     // Unconditional completion checkpoint: a kill *after* the last work
     // slot must still resume cleanly (the resume-after-complete case),
     // so the final generation is written whenever the cadence did not
     // land exactly on the last processed slot.
-    if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
-        if !pairs_done.is_multiple_of(ck.every as u64) {
-            let span = tel.is_on().then(|| tel.now_ns());
-            let generation = pairs_done / ck.every as u64 + 1;
-            let snap = WalkSnapshot {
-                seed: config.seed,
-                iter_next: pairs_done,
-                steps_total: steps as u64,
-                walkers: walkers as u64,
-                steps_taken: stats.steps_taken,
-                config_fingerprint: config_fp,
-                graph_fingerprint: graph_fp,
-                per_partition_steps: Vec::new(),
-                w: cur.clone(),
-                prev: prevv.clone(),
-                visits: Vec::new(),
-                ps: Vec::new(),
-                rows: Vec::new(),
-                biblock: Some(BiBlockState {
-                    epoch: epoch as u64,
-                    cursor: 0,
-                    blocks: nblocks as u64,
-                    done: done.clone(),
-                    buckets: buckets.clone(),
-                    paths: paths.clone(),
-                }),
-            };
-            let retries_before = sink.retries;
-            sink.save(generation, &snap)?;
-            stats.io_retries += sink.retries - retries_before;
-            if let Some(sp) = span {
-                tel.span_since(Stage::Checkpoint, sp, epoch as u32, NO_PARTITION);
-            }
-            if ck.halt_after == Some(generation) {
-                return Err(WalkError::Halted { generation });
-            }
+    run.save(pairs_done, true, epoch, tel, |base| {
+        biblock_snapshot(base, &cur, &prev, &bb, (epoch, 0))
+    })?;
+    run.stats.blocks_streamed = run.stats.partitions_read;
+    if !config.record_paths {
+        return Ok(vec![cur]);
+    }
+    // Transpose walker-major paths into the iteration-major rows
+    // WalkOutput expects; node2vec and PPR walkers never die early, so
+    // every path has exactly `steps + 1` entries.
+    let mut rows = vec![vec![0 as VertexId; walkers]; steps + 1];
+    for (k, path) in bb.paths.iter().enumerate() {
+        debug_assert_eq!(path.len(), steps + 1);
+        for (t, &v) in path.iter().enumerate() {
+            rows[t][k] = v;
         }
     }
-
-    tel.record_io_retries(stats.io_retries);
-    stats.wall = wall_start.elapsed();
-    let output = if config.record_paths {
-        // Transpose walker-major paths into the iteration-major rows
-        // WalkOutput expects; node2vec and PPR walkers never die early,
-        // so every path has exactly `steps + 1` entries.
-        let mut rows = vec![vec![0 as VertexId; walkers]; steps + 1];
-        for (k, path) in paths.iter().enumerate() {
-            debug_assert_eq!(path.len(), steps + 1);
-            for (t, &v) in path.iter().enumerate() {
-                rows[t][k] = v;
-            }
-        }
-        WalkOutput::new(rows, walkers, disk.relabel.clone())
-    } else {
-        WalkOutput::new(vec![cur], walkers, disk.relabel.clone())
-    };
-    Ok((output, stats))
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -1255,6 +1155,52 @@ mod tests {
             }
         }
         std::fs::remove_file(path).ok();
+    }
+
+    #[cfg(not(feature = "telemetry-off"))]
+    #[test]
+    fn biblock_reads_a_row_block_once_per_row_visit() {
+        let g = synth::power_law(400, 2.0, 1, 40, 5);
+        let path = temp_path("bb_rows.fmdisk");
+        let disk = DiskGraph::create(&g, &path).unwrap();
+        let cfg = WalkConfig::node2vec(0.5, 2.0).walkers(300).steps(6).seed(7);
+        let mut tel = Telemetry::new();
+        let (_, stats) =
+            run_ooc_with(&disk, &cfg, 4 << 10, &RunOptions::default(), &mut tel).unwrap();
+        std::fs::remove_file(path).ok();
+        assert!(
+            tel.partition_counters().len() >= 3,
+            "the budget must cut >= 3 blocks"
+        );
+        assert_eq!(tel.stage(Stage::Io).spans, stats.blocks_streamed);
+        // The trace of a scheduled pair (i, j) is its Io spans followed by
+        // one Sample span tagged (epoch, i); a row visit is a run of
+        // Sample spans with the same tag.
+        let (mut row, mut row_reads, mut row_pairs, mut widest) = (None, 0, 0, 0);
+        let mut reads = Vec::new();
+        for e in tel.events() {
+            match e.stage {
+                Stage::Io => reads.push(e.partition),
+                Stage::Sample => {
+                    if row != Some((e.step, e.partition)) {
+                        row = Some((e.step, e.partition));
+                        (row_reads, row_pairs) = (0, 0);
+                    }
+                    row_pairs += 1;
+                    widest = widest.max(row_pairs);
+                    row_reads += reads.iter().filter(|&&b| b == e.partition).count();
+                    reads.clear();
+                    assert!(
+                        row_reads <= 1,
+                        "row block {} read {row_reads} times in one visit of epoch {}",
+                        e.partition,
+                        e.step
+                    );
+                }
+                _ => {}
+            }
+        }
+        assert!(widest >= 2, "no row visit scheduled two pairs");
     }
 
     #[test]

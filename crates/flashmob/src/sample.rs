@@ -141,8 +141,9 @@ pub struct AlgoCtx<'g> {
     /// adjacency probes for that attempt, not a cheapened check.  Draws
     /// at or above it pay the full check, unless the 64-attempt cap
     /// fires first (the cap also accepts unchecked, as a termination
-    /// backstop).  Every rejection path — `sample_ds`, `sample_ps`, and
-    /// the engine's batched resolver — shares this exact contract.
+    /// backstop).  Every rejection path — [`node2vec_reject`] (used by
+    /// `sample_ds`, `sample_ps` and the out-of-core pair loop) and the
+    /// engine's batched resolver — shares this exact contract.
     pub bound_min: f64,
     /// Per-edge cumulative weights parallel to the CSR targets array
     /// (weighted walks only).
@@ -552,24 +553,16 @@ fn sample_ps<R: Rng64, P: Probe>(
             let next = match ctx.algo {
                 WalkAlgorithm::Node2Vec { p, q } => {
                     // Pre-sampled uniform proposals feed the rejection loop.
-                    let mut attempts = 0;
-                    loop {
-                        let cand = consume(graph, buffers, v, ctx, rng, probe, addr);
-                        attempts += 1;
-                        let x = rng.next_f64() * ctx.bound;
-                        // Stratified rejection: a draw below the minimum
-                        // weight accepts for every candidate with zero
-                        // connectivity probes; the attempt cap also
-                        // accepts unchecked (termination backstop).
-                        if x < ctx.bound_min || attempts >= 64 {
-                            break cand;
-                        }
-                        let t = prev.expect("second-order walk carries prev");
-                        if x < node2vec_weight(graph, ctx.edge_filter, t, cand, p, q, probe, addr)
-                        {
-                            break cand;
-                        }
-                    }
+                    let t = prev.expect("second-order walk carries prev");
+                    node2vec_reject(
+                        ctx,
+                        rng,
+                        probe,
+                        |rng, probe| consume(graph, buffers, v, ctx, rng, probe, addr),
+                        |cand, probe| {
+                            node2vec_weight(graph, ctx.edge_filter, t, cand, p, q, probe, addr)
+                        },
+                    )
                 }
                 WalkAlgorithm::Ppr { alpha } => {
                     // Teleport before touching the buffer: a restart
@@ -748,19 +741,13 @@ fn draw<R: Rng64, P: Probe>(
         }
         WalkAlgorithm::Node2Vec { p, q } => {
             let t = prev.expect("second-order walk carries prev");
-            let mut attempts = 0;
-            loop {
-                let cand = fetch(rng.gen_index(d), probe);
-                attempts += 1;
-                let x = rng.next_f64() * ctx.bound;
-                // Stratified rejection (see the PS path above).
-                if x < ctx.bound_min || attempts >= 64 {
-                    break cand;
-                }
-                if x < node2vec_weight(graph, ctx.edge_filter, t, cand, p, q, probe, addr) {
-                    break cand;
-                }
-            }
+            node2vec_reject(
+                ctx,
+                rng,
+                probe,
+                |rng, probe| fetch(rng.gen_index(d), probe),
+                |cand, probe| node2vec_weight(graph, ctx.edge_filter, t, cand, p, q, probe, addr),
+            )
         }
         WalkAlgorithm::Ppr { alpha } => {
             // Restart coin first: a teleport reads no edge at all.
@@ -789,6 +776,33 @@ fn draw<R: Rng64, P: Probe>(
         }
         WalkAlgorithm::Metapath { pattern } => {
             metapath_pick(graph, v, d, csr_off, pattern, ctx, rng, probe, addr)
+        }
+    }
+}
+
+/// One node2vec transition by stratified rejection: the loop shared by
+/// the DS and PS samplers and the out-of-core pair loop.
+///
+/// Each attempt takes a uniform candidate from `propose`, then draws `x`
+/// uniform in `[0, ctx.bound)`.  A draw below `ctx.bound_min` accepts
+/// any candidate without calling `weight`, so it costs zero
+/// connectivity probes; otherwise the candidate is accepted when
+/// `x < weight(cand)`.  The 64-attempt cap accepts unchecked, as a
+/// termination backstop.
+pub(crate) fn node2vec_reject<R: Rng64, P>(
+    ctx: &AlgoCtx<'_>,
+    rng: &mut R,
+    probe: &mut P,
+    mut propose: impl FnMut(&mut R, &mut P) -> VertexId,
+    mut weight: impl FnMut(VertexId, &mut P) -> f64,
+) -> VertexId {
+    let mut attempts = 0;
+    loop {
+        let cand = propose(rng, probe);
+        attempts += 1;
+        let x = rng.next_f64() * ctx.bound;
+        if x < ctx.bound_min || attempts >= 64 || x < weight(cand, probe) {
+            return cand;
         }
     }
 }

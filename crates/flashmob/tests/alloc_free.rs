@@ -1,15 +1,19 @@
-//! Verifies the steady-state step loop allocates nothing.
+//! Verifies the steady-state step loops allocate nothing.
 //!
-//! A counting global allocator measures two parallel runs that differ
-//! only in step count (4 vs 64 steps).  Setup allocations — walker
-//! arrays, scratch, PS buffers, worker stacks — are identical for both,
-//! so if the per-step loop is allocation-free the totals match exactly;
-//! any per-step Vec/Box (the old cursor-matrix clone, scoped-spawn
-//! bookkeeping, …) would show up as ~60 extra allocations.
+//! A counting global allocator measures two runs that differ only in
+//! step count (4 vs 64 steps), for the parallel in-memory engine and for
+//! the streaming out-of-core loop.  Setup allocations — walker arrays,
+//! scratch, PS buffers, worker stacks, read buffers — are identical for
+//! both, so if the per-step loop is allocation-free the totals match
+//! exactly; any per-step Vec/Box (the old cursor-matrix clone,
+//! scoped-spawn bookkeeping, a per-read byte buffer, …) would show up as
+//! ~60 extra allocations.  Both cases run in one test so that no other
+//! test thread allocates while one is measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use flashmob::oocore::{run_ooc, DiskGraph};
 use flashmob::{FlashMob, WalkConfig};
 
 struct CountingAlloc;
@@ -61,6 +65,20 @@ fn measured_allocs(steps: usize) -> u64 {
     ALLOCS.load(Ordering::SeqCst) - before
 }
 
+/// Allocation count of one measured streaming out-of-core run at the
+/// given step count; the budget cuts the graph into several partitions.
+fn measured_ooc_allocs(disk: &DiskGraph, steps: usize) -> u64 {
+    let cfg = WalkConfig::deepwalk()
+        .walkers(512)
+        .steps(steps)
+        .seed(3)
+        .record_paths(false);
+    run_ooc(disk, &cfg, 1 << 10).unwrap();
+    let before = ALLOCS.load(Ordering::SeqCst);
+    run_ooc(disk, &cfg, 1 << 10).unwrap();
+    ALLOCS.load(Ordering::SeqCst) - before
+}
+
 #[test]
 fn steady_state_step_loop_is_allocation_free() {
     let short = measured_allocs(4);
@@ -68,6 +86,20 @@ fn steady_state_step_loop_is_allocation_free() {
     assert_eq!(
         short, long,
         "allocation count must not grow with step count \
+         ({short} allocs at 4 steps vs {long} at 64)"
+    );
+
+    let g = fm_graph::synth::power_law(400, 2.0, 1, 40, 9);
+    let path = std::env::temp_dir().join(format!("fm-alloc-free-{}.fmdisk", std::process::id()));
+    let disk = DiskGraph::create(&g, &path).unwrap();
+    let (short, long) = (
+        measured_ooc_allocs(&disk, 4),
+        measured_ooc_allocs(&disk, 64),
+    );
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        short, long,
+        "out-of-core allocation count must not grow with step count \
          ({short} allocs at 4 steps vs {long} at 64)"
     );
 }
